@@ -349,8 +349,7 @@ def main() -> int:
     parser.add_argument("--snapshot-dir", default=None,
                         help="pass --snapshot-dir through to the server "
                         "(materialization snapshots persist across "
-                        "sessions; see bench_pr9.py for the cold-vs-warm "
-                        "comparison)")
+                        "sessions, so a second run starts warm)")
     parser.add_argument("--compare-tracing", action="store_true",
                         help="run the workload twice (tracing on, then "
                         "--no-trace) and report the overhead deltas")

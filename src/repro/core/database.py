@@ -1,62 +1,43 @@
 """Databases — indexed sets of ground atoms.
 
 A database (Section 2) is a set of atoms over constants and labeled nulls.
-This module provides an indexed, mutable fact store used by the chase and
-the Datalog engine:
+:class:`Database` is the one fact store used by the chase, the Datalog
+engine, saturation and the WFG pipeline.  It is columnar and interned
+(the primitives live in :mod:`repro.core.store`):
 
-* a per-relation index (``atoms_for``),
-* a per-(relation, position, term) index used by the homomorphism search,
-* the *active constant domain* backing the built-in ``ACDom`` relation,
-* an incrementally maintained term set (``has_term``) so the chase can
-  mint fresh nulls without scanning every atom.
+* a per-database :class:`~repro.core.store.SymbolTable` maps every term
+  that occurs in a fact to a dense int ID, and an occurrence bitmap backs
+  ``has_term`` so the chase can mint fresh nulls without a scan;
+* each relation is a :class:`~repro.core.store.ColumnRelation` holding
+  one int column vector per position, with lazily built hash buckets for
+  the compiled join plans and sorted/bisect indexes for
+  :meth:`Database.atoms_matching`;
+* rows are append-only and deduplicated, so the facts added since a mark
+  are an ordinal range — the Datalog engine's semi-naive deltas;
+* decoded :class:`~repro.core.atoms.Atom` objects are cached per row
+  ordinal, so iteration and probes hand back the same objects.
 
 Per the paper, ``ACDom(c)`` holds exactly for the constants occurring in a
 non-ACDom atom of the *input* database.  Because the chase must keep this
 extension fixed while it adds inferred atoms, the store distinguishes the
 constants present at construction (or at an explicit :meth:`freeze_acdom`)
-from constants introduced later by rules.
-
-The sorted active domain (:meth:`acdom_sorted`) is cached: once the
-extension is frozen the cache survives every subsequent :meth:`add`, so
-``ACDom`` enumeration in the join engines is an O(1) tuple fetch instead
-of a fresh sort per pattern atom.
+from constants introduced later by rules.  The views derived from a frozen
+extension (the sorted active domain and its ID forms) are cached until
+the next :meth:`freeze_acdom` or :meth:`unfreeze_acdom`, so ``ACDom``
+enumeration in the join engines is an O(1) tuple fetch.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from collections import defaultdict
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .atoms import Atom, RelationKey
+from .store import ColumnRelation, SymbolTable
 from .terms import Constant, Null, Term
 from .theory import ACDOM
 
-__all__ = ["Database", "dict_database"]
-
-try:
-    # Same direct-environ probe as REPRO_NAIVE_JOIN in homomorphism.py:
-    # ``Database(...)`` is called on construction-heavy paths (parsing,
-    # restrict/copy, every test), so the escape-hatch check must not pay
-    # the full ``os.environ.__getitem__`` machinery.
-    _ENV_DATA = os.environ._data
-    _DICT_STORE_KEY = os.environ.encodekey("REPRO_DICT_STORE")
-except AttributeError:  # pragma: no cover - non-CPython fallback
-    _ENV_DATA = None
-    _DICT_STORE_KEY = None
-
-
-def _dict_store_requested() -> bool:
-    if _ENV_DATA is not None:
-        raw = _ENV_DATA.get(_DICT_STORE_KEY)
-        return raw is not None and raw not in (b"", b"0", "", "0")
-    return os.environ.get("REPRO_DICT_STORE", "") not in ("", "0")
-
-
-#: Resolved lazily by ``Database.__new__`` to avoid an import cycle with
-#: ``repro.core.store`` (which subclasses ``Database``).
-_COLUMNAR_CLS = None
+__all__ = ["Database"]
 
 
 def _atom_fingerprint(atom: Atom) -> str:
@@ -78,39 +59,23 @@ def _atom_fingerprint(atom: Atom) -> str:
 
 
 class Database:
-    """A mutable, indexed set of ground atoms.
+    """A mutable, indexed set of ground atoms."""
 
-    ``Database(...)`` is a dispatching constructor: by default it builds
-    the columnar store (:class:`repro.core.store.ColumnarDatabase`, a
-    subclass presenting this exact interface); setting
-    ``REPRO_DICT_STORE=1`` — or calling :func:`dict_database` — yields
-    the dict-of-sets implementation defined in this module.
-    """
-
-    #: True on the columnar subclass; lets hot paths (the compiled join
-    #: plans, the Datalog delta loop) branch on the store kind without
-    #: an isinstance check.
-    _columnar = False
-
-    def __new__(cls, *args, **kwargs) -> "Database":
-        if cls is Database and not _dict_store_requested():
-            global _COLUMNAR_CLS
-            columnar = _COLUMNAR_CLS
-            if columnar is None:
-                from .store import ColumnarDatabase as columnar
-
-                _COLUMNAR_CLS = columnar
-            return object.__new__(columnar)
-        return object.__new__(cls)
+    #: Set by :func:`repro.core.store.load_snapshot` to the provenance
+    #: header fields (theory / db_key / strategy / bytes); ``None`` on
+    #: built databases.
+    _snapshot_meta: Optional[dict] = None
 
     def __init__(self, atoms: Iterable[Atom] = (), freeze_acdom: bool = True) -> None:
-        self._atoms: set[Atom] = set()
-        self._by_relation: dict[RelationKey, set[Atom]] = defaultdict(set)
-        self._by_position: dict[tuple[RelationKey, int, Term], set[Atom]] = defaultdict(set)
-        self._terms: set[Term] = set()
+        self._symtab = SymbolTable()
+        self._relations: dict[RelationKey, ColumnRelation] = {}
+        self._n_atoms = 0
+        self._cells = 0
         self._acdom: Optional[frozenset[Constant]] = None
-        self._acdom_sorted: Optional[tuple[Constant, ...]] = None
+        self._reset_acdom_caches()
         self._content_hash: Optional[str] = None
+        #: Buffers (mmap objects) kept alive for snapshot-backed columns.
+        self._buffers: list = []
         for atom in atoms:
             self.add(atom)
         if freeze_acdom:
@@ -125,56 +90,106 @@ class Database:
             raise TypeError(f"databases contain atoms, got {atom!r}")
         if not atom.is_ground():
             raise ValueError(f"databases contain only ground atoms, got {atom}")
-        if atom in self._atoms:
-            return False
-        self._atoms.add(atom)
         key = atom.relation_key
-        self._by_relation[key].add(atom)
-        by_position = self._by_position
-        for position, term in enumerate(atom.all_terms):
-            by_position[(key, position, term)].add(atom)
-        self._terms.update(atom.all_terms)
+        relation = self._relations.get(key)
+        if relation is None:
+            relation = ColumnRelation(key)
+            self._relations[key] = relation
+        symtab = self._symtab
+        ids = symtab._ids
+        terms = symtab._terms
+        occurs = symtab._occurs
+        row = []
+        append = row.append
+        for term in atom.all_terms:
+            i = ids.get(term)
+            if i is None:
+                i = len(terms)
+                ids[term] = i
+                terms.append(term)
+                occurs.append(1)
+            else:
+                occurs[i] = 1
+            append(i)
+        if not relation.add_row(tuple(row)):
+            return False
+        self._n_atoms += 1
+        self._cells += relation.width
         self._content_hash = None
-        if self._acdom is None:
-            # Unfrozen: the active domain tracks the current constants, so
-            # the sorted cache may be stale.  Once frozen the extension is
-            # fixed and the cache survives arbitrary adds.
-            self._acdom_sorted = None
         return True
 
-    def add_all(self, atoms: Iterable[Atom]) -> int:
-        return sum(1 for atom in atoms if self.add(atom))
+    def _existing_rows(self, key: RelationKey) -> "set[tuple[int, ...]] | frozenset":
+        """The relation's row set (built if needed); empty if absent.
+        Backs the compiled rule executors' fire-time membership checks."""
+        relation = self._relations.get(key)
+        if relation is None:
+            return frozenset()
+        rowset = relation._rowset
+        if rowset is None:
+            rowset = relation._build_rowset()
+        return rowset
+
+    def _add_row(self, key: RelationKey, row: tuple[int, ...]) -> bool:
+        """Append one already-encoded row — the ID-space twin of
+        :meth:`add`, used by the Datalog engine's row-staged firing.
+        Marks the row's symbols as occurring, exactly as ``add`` would."""
+        relation = self._relations.get(key)
+        if relation is None:
+            relation = ColumnRelation(key)
+            self._relations[key] = relation
+        if not relation.add_row(row):
+            return False
+        occurs = self._symtab._occurs
+        for i in row:
+            occurs[i] = 1
+        self._n_atoms += 1
+        self._cells += relation.width
+        self._content_hash = None
+        return True
 
     def remove(self, atom: Atom) -> bool:
         """Delete an atom; returns True if it was present.
 
-        The term-occurrence set (``has_term``) stays conservative: terms
-        of removed atoms remain marked as occurring.  Freshness probes
-        (the chase's null loop) only require "never free when taken", so
-        a stale-taken name costs at most a skipped candidate.  The
-        frozen ACDom extension likewise keeps the *input* database's
+        The symbol table's occurrence bits stay conservative: terms of
+        removed atoms still read as occurring (``has_term``).  Freshness
+        probes (the chase's null loop) only require "never free when
+        taken", so a stale-taken name costs at most a skipped candidate.
+        A frozen ACDom extension likewise keeps the *input* database's
         constants — per the paper it is fixed at construction, not
         tracked through deletions.
         """
-        if atom not in self._atoms:
+        relation = self._relations.get(atom.relation_key)
+        if relation is None or relation.n_rows == 0:
             return False
-        self._atoms.discard(atom)
-        key = atom.relation_key
-        self._by_relation[key].discard(atom)
-        by_position = self._by_position
-        for position, term in enumerate(atom.all_terms):
-            entry = by_position.get((key, position, term))
-            if entry is not None:
-                entry.discard(atom)
-        self._content_hash = None
-        if self._acdom is None:
-            self._acdom_sorted = None
-        return True
+        ids = self._symtab._ids
+        row = []
+        for term in atom.all_terms:
+            i = ids.get(term)
+            if i is None:
+                return False
+            row.append(i)
+        return self._remove_rows(atom.relation_key, ((tuple(row)),)) == 1
+
+    def _remove_rows(
+        self, key: RelationKey, rows: Iterable[tuple[int, ...]]
+    ) -> int:
+        """Delete already-encoded rows — the ID-space twin of
+        :meth:`remove`, used by the incremental engine's compaction.
+        Returns how many rows were actually present and removed."""
+        relation = self._relations.get(key)
+        if relation is None:
+            return 0
+        removed = relation.remove_rows(rows)
+        if removed:
+            self._n_atoms -= removed
+            self._cells -= removed * relation.width
+            self._content_hash = None
+        return removed
 
     def freeze_acdom(self) -> None:
         """Fix the ACDom extension to the constants currently present."""
         self._acdom = frozenset(self._constants_now())
-        self._acdom_sorted = None
+        self._reset_acdom_caches()
 
     def ensure_acdom_frozen(self) -> None:
         """Freeze the ACDom extension unless already frozen.
@@ -186,6 +201,24 @@ class Database:
         if self._acdom is None:
             self.freeze_acdom()
 
+    def unfreeze_acdom(self) -> None:
+        """Let the ACDom extension track the current constants again.
+
+        A maintained input database (``repro.incremental``) must hash and
+        evaluate exactly like a freshly parsed copy of its current
+        contents; engines re-freeze their own copies at evaluation time.
+        """
+        self._acdom = None
+        self._reset_acdom_caches()
+
+    def _reset_acdom_caches(self) -> None:
+        """Drop the views derived from the ACDom extension.  They are
+        cached only while the extension is frozen, so freezing and
+        unfreezing are the only points that invalidate them."""
+        self._acdom_sorted: Optional[tuple[Constant, ...]] = None
+        self._acdom_ids: Optional[frozenset[int]] = None
+        self._acdom_ids_sorted: Optional[tuple[int, ...]] = None
+
     @property
     def acdom_frozen(self) -> bool:
         return self._acdom is not None
@@ -194,75 +227,130 @@ class Database:
     # queries
     # ------------------------------------------------------------------
     def __contains__(self, atom: Atom) -> bool:
-        return atom in self._atoms
+        relation = self._relations.get(atom.relation_key)
+        if relation is None or relation.n_rows == 0:
+            return False
+        ids = self._symtab._ids
+        row = []
+        for term in atom.all_terms:
+            i = ids.get(term)
+            if i is None:
+                return False
+            row.append(i)
+        rowset = relation._rowset
+        if rowset is None:
+            rowset = relation._build_rowset()
+        return tuple(row) in rowset
 
     def __iter__(self) -> Iterator[Atom]:
-        return iter(self._atoms)
+        for key, relation in self._relations.items():
+            if relation.n_rows:
+                yield from self.atoms_for(key)
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return self._n_atoms
+
+    def _decode_row(self, key: RelationKey, row: tuple[int, ...]) -> Atom:
+        terms = self._symtab._terms
+        arity = key[1]
+        args = tuple(terms[i] for i in row[:arity])
+        annotation = tuple(terms[i] for i in row[arity:])
+        return Atom._make(key[0], args, annotation, None)
+
+    def _decode_ordinal(self, relation: ColumnRelation, ordinal: int) -> Atom:
+        """Decode one row through the relation's ordinal-aligned atom
+        cache — repeated probes of the same row return the same object."""
+        decoded = relation._decoded
+        if ordinal < len(decoded):
+            atom = decoded[ordinal]
+            if atom is not None:
+                return atom
+        else:
+            decoded.extend([None] * (relation.n_rows - len(decoded)))
+        atom = self._decode_row(relation.key, relation.row(ordinal))
+        decoded[ordinal] = atom
+        return atom
 
     def atoms(self) -> frozenset[Atom]:
-        return frozenset(self._atoms)
+        out: frozenset[Atom] = frozenset()
+        for key, relation in self._relations.items():
+            if relation.n_rows:
+                out |= self.atoms_for(key)
+        return out
 
     def atoms_for(self, key: RelationKey) -> frozenset[Atom]:
         """All atoms of the given relation identity."""
-        return frozenset(self._by_relation.get(key, ()))
+        relation = self._relations.get(key)
+        if relation is None or relation.n_rows == 0:
+            return frozenset()
+        cached = relation._atoms_cache
+        if cached is not None and cached[0] == relation.n_rows:
+            return cached[1]
+        decoded = frozenset(
+            self._decode_ordinal(relation, ordinal)
+            for ordinal in range(relation.n_rows)
+        )
+        relation._atoms_cache = (relation.n_rows, decoded)
+        return decoded
 
     def atoms_matching(
         self, key: RelationKey, bindings: Mapping[int, Term]
     ) -> set[Atom]:
         """Atoms of ``key`` whose position ``i`` holds ``bindings[i]``.
 
-        Uses the positional index: intersects the smallest candidate sets.
         An empty ``bindings`` returns all atoms of the relation.
         """
+        relation = self._relations.get(key)
+        if relation is None or relation.n_rows == 0:
+            return set()
         if not bindings:
-            return set(self._by_relation.get(key, ()))
-        candidate_sets = [
-            self._by_position.get((key, position, term), set())
-            for position, term in bindings.items()
+            return set(self.atoms_for(key))
+        ids = self._symtab._ids
+        encoded: list[tuple[int, int]] = []
+        for position, term in bindings.items():
+            i = ids.get(term)
+            if i is None:
+                return set()
+            encoded.append((position, i))
+        if len(encoded) == 1:
+            # Single-binding fast path: one hash-bucket probe, decoded
+            # through the ordinal atom cache.
+            position, value = encoded[0]
+            ordinals = relation.bucket(position).get(value)
+            if not ordinals:
+                return set()
+            decode = self._decode_ordinal
+            return {decode(relation, ordinal) for ordinal in ordinals}
+        # Bisect-probe the sorted secondary index at every bound
+        # position, then verify the smallest candidate range against the
+        # raw columns (cheaper than materializing ordinal-set
+        # intersections).
+        candidates = [
+            relation.sorted_probe(position, value)
+            for position, value in encoded
         ]
-        candidate_sets.sort(key=len)
-        result = set(candidate_sets[0])
-        for candidates in candidate_sets[1:]:
-            result &= candidates
-            if not result:
-                break
-        return result
+        smallest = min(candidates, key=len)
+        cols = relation._cols
+        matches: set[Atom] = set()
+        for ordinal in smallest:
+            for position, value in encoded:
+                if cols[position][ordinal] != value:
+                    break
+            else:
+                matches.add(self._decode_ordinal(relation, ordinal))
+        return matches
 
-    # ------------------------------------------------------------------
-    # planner-facing index statistics
-    # ------------------------------------------------------------------
     def relation_size(self, key: RelationKey) -> int:
         """Number of atoms of the given relation identity (O(1))."""
-        atoms = self._by_relation.get(key)
-        return len(atoms) if atoms is not None else 0
+        relation = self._relations.get(key)
+        return relation.n_rows if relation is not None else 0
 
-    def position_candidates(
-        self, key: RelationKey, position: int, term: Term
-    ) -> frozenset[Atom]:
-        """Atoms of ``key`` holding ``term`` at ``position`` (index fetch)."""
-        atoms = self._by_position.get((key, position, term))
-        return frozenset(atoms) if atoms is not None else frozenset()
-
-    def index_stats(self) -> dict[str, int]:
-        """Summary sizes of the two indexes (exposed for ``--stats`` and
-        the benchmark harness)."""
-        return {
-            "atoms": len(self._atoms),
-            "relations": sum(1 for s in self._by_relation.values() if s),
-            "position_index_entries": len(self._by_position),
-            "terms": len(self._terms),
-        }
-
-    def store_stats(self) -> dict[str, int | str]:
+    def store_stats(self) -> dict[str, int]:
         """O(1) size summary for the ``store.*`` observability gauges."""
         return {
-            "kind": "dict",
-            "atoms": len(self._atoms),
-            "symbols": len(self._terms),
-            "bytes": 0,
+            "atoms": self._n_atoms,
+            "symbols": len(self._symtab),
+            "bytes": self._cells * 8,
         }
 
     def content_hash(self) -> str:
@@ -271,8 +359,8 @@ class Database:
         The hash is *structural* — order-independent and stable across
         processes and input formatting — so it can key both the
         registry's materialization LRU and the on-disk snapshot cache.
-        Mutation (:meth:`add`) invalidates the memo; lookups between
-        mutations are O(1).
+        Mutation (:meth:`add`, :meth:`remove`) invalidates the memo;
+        lookups between mutations are O(1).
         """
         cached = self._content_hash
         if cached is not None:
@@ -286,15 +374,25 @@ class Database:
         return digest
 
     def relations(self) -> set[RelationKey]:
-        return {key for key, atoms in self._by_relation.items() if atoms}
+        return {
+            key
+            for key, relation in self._relations.items()
+            if relation.n_rows
+        }
 
     def _constants_now(self) -> set[Constant]:
-        found: set[Constant] = set()
-        for atom in self._atoms:
-            if atom.relation == ACDOM:
+        seen: set[int] = set()
+        for key, relation in self._relations.items():
+            if key[0] == ACDOM:
                 continue
-            found |= atom.constants()
-        return found
+            for col in relation._cols:
+                seen.update(col)
+        terms = self._symtab._terms
+        return {
+            term
+            for i in seen
+            if isinstance((term := terms[i]), Constant)
+        }
 
     def active_constants(self) -> frozenset[Constant]:
         """The (frozen) extension of ``ACDom``."""
@@ -303,53 +401,72 @@ class Database:
         return frozenset(self._constants_now())
 
     def acdom_sorted(self) -> tuple[Constant, ...]:
-        """The active domain as a sorted tuple, cached.
-
-        After :meth:`freeze_acdom` the cache is permanent (the extension
-        can no longer change); before freezing it is invalidated by every
-        :meth:`add`.
-        """
+        """The active domain as a sorted tuple, cached while frozen."""
         cached = self._acdom_sorted
-        if cached is None:
-            cached = tuple(sorted(self.active_constants()))
-            self._acdom_sorted = cached
-        return cached
+        if cached is not None:
+            return cached
+        result = tuple(sorted(self.active_constants()))
+        if self._acdom is not None:
+            self._acdom_sorted = result
+        return result
+
+    # -- ACDom in ID space (for the compiled plan executors) -----------
+    def _acdom_id_set(self) -> frozenset[int]:
+        """IDs of the active-domain constants.  Membership implies the
+        symbol is a Constant, so the executors skip the type check."""
+        cached = self._acdom_ids
+        if cached is not None:
+            return cached
+        intern = self._symtab.intern
+        ids = frozenset(intern(constant) for constant in self.active_constants())
+        if self._acdom is not None:
+            self._acdom_ids = ids
+        return ids
+
+    def _acdom_enum_ids(self) -> tuple[int, ...]:
+        """IDs of the active domain in term sort order (enumeration)."""
+        cached = self._acdom_ids_sorted
+        if cached is not None:
+            return cached
+        intern = self._symtab.intern
+        ids = tuple(intern(constant) for constant in self.acdom_sorted())
+        if self._acdom is not None:
+            self._acdom_ids_sorted = ids
+        return ids
 
     def has_term(self, term: Term) -> bool:
         """Does the term occur in any atom?  O(1) membership check."""
-        return term in self._terms
+        i = self._symtab._ids.get(term)
+        return i is not None and self._symtab._occurs[i] == 1
 
     def terms(self) -> set[Term]:
-        return set(self._terms)
+        return set(self._symtab.occurring())
 
     def nulls(self) -> set[Null]:
-        return {term for term in self._terms if isinstance(term, Null)}
+        return {t for t in self._symtab.occurring() if isinstance(t, Null)}
 
     def constants(self) -> set[Constant]:
-        return {term for term in self._terms if isinstance(term, Constant)}
+        return {t for t in self._symtab.occurring() if isinstance(t, Constant)}
 
     # ------------------------------------------------------------------
     # comparisons and copies
     # ------------------------------------------------------------------
     def copy(self) -> "Database":
-        # Clone the indexes structurally instead of re-adding (and thus
-        # re-validating and re-indexing) every atom.  ``object.__new__``
-        # on purpose: this must clone *this* implementation regardless of
-        # what ``Database(...)`` currently dispatches to.
+        # Clone the columns structurally instead of re-adding (and thus
+        # re-validating and re-interning) every atom.
         clone = object.__new__(Database)
-        clone._atoms = set(self._atoms)
-        by_relation: dict[RelationKey, set[Atom]] = defaultdict(set)
-        for key, facts in self._by_relation.items():
-            by_relation[key] = set(facts)
-        clone._by_relation = by_relation
-        by_position: dict[tuple[RelationKey, int, Term], set[Atom]] = defaultdict(set)
-        for key, facts in self._by_position.items():
-            by_position[key] = set(facts)
-        clone._by_position = by_position
-        clone._terms = set(self._terms)
+        clone._symtab = self._symtab.copy()
+        clone._relations = {
+            key: relation.copy() for key, relation in self._relations.items()
+        }
+        clone._n_atoms = self._n_atoms
+        clone._cells = self._cells
         clone._acdom = self._acdom
         clone._acdom_sorted = self._acdom_sorted
+        clone._acdom_ids = self._acdom_ids
+        clone._acdom_ids_sorted = self._acdom_ids_sorted
         clone._content_hash = self._content_hash
+        clone._buffers = list(self._buffers)
         return clone
 
     def restrict_to_relations(self, names: set[str]) -> "Database":
@@ -359,39 +476,23 @@ class Database:
             freeze_acdom=False,
         )
         restricted._acdom = self._acdom
-        restricted._acdom_sorted = None
         return restricted
 
     def ground_atoms(self) -> frozenset[Atom]:
         """Atoms whose terms are all constants (no nulls)."""
-        return frozenset(atom for atom in self._atoms if not atom.nulls())
+        return frozenset(atom for atom in self if not atom.nulls())
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, Database):
             return NotImplemented
-        if type(other) is Database:
-            return self._atoms == other._atoms
-        # Mixed store kinds: compare the logical atom sets.
-        return len(self) == len(other) and self.atoms() == other.atoms()
+        if len(self) != len(other):
+            return False
+        return self.atoms() == other.atoms()
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(atom) for atom in sorted(self)) + "}"
 
     def __repr__(self) -> str:
-        return f"Database({len(self._atoms)} atoms)"
-
-
-def dict_database(
-    atoms: Iterable[Atom] = (), freeze_acdom: bool = True
-) -> Database:
-    """Build the dict-of-sets store explicitly, ignoring the dispatch.
-
-    Used by the differential tests and benchmarks that need both store
-    implementations side by side in one process, where flipping
-    ``REPRO_DICT_STORE`` would be global state.
-    """
-    database = object.__new__(Database)
-    database.__init__(atoms, freeze_acdom=freeze_acdom)
-    return database
+        return f"Database({self._n_atoms} atoms)"

@@ -203,8 +203,8 @@ def homomorphisms(
         obs.inc("homomorphism_calls")
     if _naive_requested():
         if forced is not None:
-            # The columnar Datalog engine ships deltas as encoded row
-            # blocks; the reference interpreter works on atoms.
+            # The Datalog engine ships deltas as encoded row blocks;
+            # the reference interpreter works on atoms.
             forced_index, candidates = forced
             decoded: list[Atom] = []
             for item in candidates:

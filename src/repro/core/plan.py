@@ -21,21 +21,21 @@ module compiles a pattern **once** into a :class:`JoinPlan`:
   — no dict copies, no explicit trail;
 * a *generated executor*: the ordered steps are emitted as a specialized
   Python generator function — one nested ``for`` per pattern atom, with
-  smallest-index candidate selection, identity comparisons (terms are
-  interned, so ``is`` replaces ``==``) and a single ``yield`` of the
-  result dict at the innermost level — compiled with :func:`compile` once
-  and reused for every execution of the plan.
+  smallest-bucket candidate selection, int comparisons on the store's
+  interned term IDs and a single ``yield`` of the decoded result dict
+  at the innermost level — compiled with :func:`compile` once and
+  reused for every execution of the plan.
 
 Plans are cached per ``(pattern, adornment-keyset, forced-index)`` and
 reused across chase rounds, Datalog iterations, saturation and
 containment checks.  Cache traffic is visible in ``--stats`` output as
 ``plan.cache_hits`` / ``plan.compile_calls``.
 
-Candidate selection probes the database's positional index at every
-bound position of an atom and scans the *smallest* bucket, verifying the
-other bound positions by identity — cheaper than materializing set
-intersections.  When an atom constrains exactly one position, the bucket
-is exact and verification is skipped entirely.
+Candidate selection probes the relation's hash bucket at every bound
+position of an atom and scans the *smallest* bucket, verifying the
+other bound positions against the columns — cheaper than materializing
+set intersections.  When an atom constrains exactly one position, the
+bucket is exact and verification is skipped entirely.
 
 The built-in ``ACDom`` relation compiles to dedicated step kinds: a
 *check* when its term is already fixed, an *enumeration* of the cached
@@ -44,10 +44,12 @@ when it is still free.  A malformed ``ACDom`` atom compiles to a step
 that raises when (and only when) the search reaches it, matching the
 interpreter's laziness.
 
-Two executor variants are generated per plan: a *fast* one and an
+Two assignment executors are generated per plan: a *fast* one and an
 *instrumented* one that accumulates ``homomorphism.match_calls`` /
 ``homomorphism.backtracks`` for the observability layer; the dispatcher
-picks per call based on whether instrumentation is active.
+picks per call based on whether instrumentation is active.  The Datalog
+engine additionally compiles *rule executors* that stage encoded head
+rows instead of yielding assignments (:func:`derive_rule_rows`).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .atoms import Atom
 from .database import Database
 from .store import ColumnDelta
-from .terms import Constant, Term, Variable
+from .terms import Term, Variable
 from .theory import ACDOM
 from ..obs.runtime import current as _obs_current
 
@@ -122,10 +124,8 @@ class JoinPlan:
         "adornment",
         "has_extras",
         "forced_index",
-        "_fast_fn",
-        "_instr_fn",
-        "_col_fast_fn",
-        "_col_instr_fn",
+        "_assign_fn",
+        "_assign_instr_fn",
         "_row_fns",
         "_source",
     )
@@ -153,18 +153,17 @@ class JoinPlan:
         self.adornment = adornment
         self.has_extras = has_extras
         self.forced_index = forced_index
-        self._fast_fn = None
-        self._instr_fn = None
-        self._col_fast_fn = None
-        self._col_instr_fn = None
-        #: head-tuple -> compiled row-emitting rule executor (columnar).
+        self._assign_fn = None
+        self._assign_instr_fn = None
+        #: head-tuple -> compiled row-emitting rule executor.
         self._row_fns = None
         self._source = None
 
     def source(self) -> str:
-        """The generated (fast-variant) executor source — debugging aid."""
+        """The source of the assignment executor that :func:`execute_plan`
+        runs uninstrumented — debugging aid."""
         if self._source is None:
-            self._fast_fn = _generate(self, instrumented=False)
+            _generate(self, instrumented=False)
         return self._source
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -407,7 +406,7 @@ class _Emitter:
     def __init__(self) -> None:
         self.lines: list[str] = []
         self.indent = 0
-        self.env: dict[str, object] = {"Constant": Constant}
+        self.env: dict[str, object] = {}
         self._names: dict[int, str] = {}
         self._counter = 0
 
@@ -428,154 +427,7 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _generate(plan: JoinPlan, instrumented: bool):
-    """Emit, compile and return the executor for ``plan``.
-
-    The generated function is a Python generator: one nested ``for`` per
-    ordered pattern atom, slot bindings as loop-local variables, a single
-    ``yield`` at the innermost level.  Term comparisons use identity —
-    valid because terms are interned.  The instrumented variant
-    additionally accumulates match/backtrack counters and flushes them to
-    the active observability runtime in a ``finally``.
-    """
-    e = _Emitter()
-    steps = plan.steps
-    if instrumented:
-        e.emit("def _plan_fn(database, forced_facts, base, partial, obs):")
-    else:
-        e.emit("def _plan_fn(database, forced_facts, base, partial):")
-    e.indent += 1
-
-    if not steps:
-        e.emit("yield dict(base)")
-        return _compile_fn(plan, e, instrumented)
-
-    kinds = {step.kind for step in steps}
-    if _ATOM in kinds:
-        e.emit("P = database._by_position")
-        e.emit("R = database._by_relation")
-    if _ACDOM_ENUM in kinds:
-        e.emit("AC = database.acdom_sorted()")
-    if _ACDOM_CHECK in kinds:
-        e.emit("ACS = database.active_constants()")
-    for variable, slot in plan.adorned_slots:
-        e.emit(f"s{slot} = partial[{e.ref(variable, 'V')}]")
-
-    if instrumented:
-        e.emit("_m = 0")
-        e.emit("_b = 0")
-        e.emit("try:")
-        e.indent += 1
-
-    loop_indents: list[int] = []  # indent level of each opened `for`
-    truncated = False
-    for i, step in enumerate(steps):
-        fail = "continue" if loop_indents else "return"
-        guard_bt = "_b += 1; " if instrumented else ""
-        if step.kind == _ACDOM_BAD:
-            message = f"ACDom is unary, got {step.atom}"
-            e.emit(f"raise ValueError({e.ref(message, 'A')})")
-            truncated = True
-            break
-        if step.kind == _ACDOM_ENUM:
-            e.emit(f"for s{step.acdom_slot} in AC:")
-            loop_indents.append(e.indent)
-            e.indent += 1
-            if instrumented:
-                e.emit("_m += 1")
-            continue
-        if step.kind == _ACDOM_CHECK:
-            value = (
-                e.ref(step.acdom_term, "T")
-                if step.acdom_term is not None
-                else f"s{step.acdom_slot}"
-            )
-            e.emit(
-                f"if type({value}) is not Constant or {value} not in ACS: "
-                f"{guard_bt}{fail}"
-            )
-            if instrumented:
-                e.emit("_m += 1")
-            continue
-
-        # _ATOM / _FORCED
-        key = e.ref(step.relation_key, "K")
-        items = [
-            (position, e.ref(term, "T")) for position, term in step.const_items
-        ] + [(position, f"s{slot}") for position, slot in step.bound_items]
-        if step.kind == _FORCED:
-            e.emit(f"for f{i} in forced_facts:")
-            loop_indents.append(e.indent)
-            e.indent += 1
-            e.emit(f"if f{i}.relation_key != {key}: continue")
-            e.emit(f"t{i} = f{i}.all_terms")
-            verify = items  # no index bucket backs a forced fact
-        else:
-            if not items:
-                e.emit(f"best = R.get({key})")
-                e.emit(f"if not best: {guard_bt}{fail}")
-            elif len(items) == 1:
-                position, value = items[0]
-                e.emit(f"best = P.get(({key}, {position}, {value}))")
-                e.emit(f"if not best: {guard_bt}{fail}")
-            else:
-                position, value = items[0]
-                e.emit(f"b = P.get(({key}, {position}, {value}))")
-                e.emit(f"if not b: {guard_bt}{fail}")
-                e.emit("best = b")
-                for position, value in items[1:]:
-                    e.emit(f"b = P.get(({key}, {position}, {value}))")
-                    e.emit(f"if not b: {guard_bt}{fail}")
-                    e.emit("if len(b) < len(best): best = b")
-            e.emit(f"for f{i} in best:")
-            loop_indents.append(e.indent)
-            e.indent += 1
-            e.emit(f"t{i} = f{i}.all_terms")
-            # With a single constrained position the bucket is exact.
-            verify = items if len(items) > 1 else []
-        for position, value in verify:
-            e.emit(f"if t{i}[{position}] is not {value}: continue")
-        for position, slot in step.bind_items:
-            e.emit(f"s{slot} = t{i}[{position}]")
-        for position, slot in step.check_items:
-            e.emit(f"if t{i}[{position}] is not s{slot}: continue")
-        if instrumented:
-            e.emit("_m += 1")
-
-    if not truncated:
-        entries = ", ".join(
-            f"{e.ref(variable, 'V')}: s{slot}"
-            for variable, slot in plan.out_items
-        )
-        if plan.has_extras:
-            e.emit(f"yield {{**base, {entries}}}")
-        else:
-            e.emit(f"yield {{{entries}}}")
-
-    if instrumented:
-        # Count loop exhaustions as backtracks (innermost outward).
-        for indent in reversed(loop_indents):
-            e.indent = indent
-            e.emit("_b += 1")
-        e.indent = 1
-        e.emit("finally:")
-        e.indent += 1
-        e.emit("if obs is not None:")
-        e.indent += 1
-        e.emit("obs.inc('homomorphism.match_calls', _m)")
-        e.emit("if _b:")
-        e.indent += 1
-        e.emit("obs.inc('homomorphism.backtracks', _b)")
-    return _compile_fn(plan, e, instrumented)
-
-
-def _compile_fn(
-    plan: JoinPlan,
-    e: _Emitter,
-    instrumented: bool,
-    columnar: bool = False,
-    store: bool = True,
-):
+def _compile_fn(plan: JoinPlan, e: _Emitter, instrumented: bool, store: bool = True):
     source = e.source()
     namespace = dict(e.env)
     code = compile(source, f"<joinplan:{len(plan.atoms)} atoms>", "exec")
@@ -583,36 +435,35 @@ def _compile_fn(
     fn = namespace["_plan_fn"]
     if not store:
         return fn
-    if columnar:
-        if instrumented:
-            plan._col_instr_fn = fn
-        else:
-            plan._col_fast_fn = fn
-    elif instrumented:
-        plan._instr_fn = fn
+    if instrumented:
+        plan._assign_instr_fn = fn
     else:
-        plan._fast_fn = fn
+        plan._assign_fn = fn
         plan._source = source
     return fn
 
 
-def _generate_col(
+def _generate(
     plan: JoinPlan,
     instrumented: bool,
     heads: Optional[tuple[Atom, ...]] = None,
     all_rows: bool = False,
 ):
-    """Emit, compile and return the *columnar* executor for ``plan``.
+    """Emit, compile and return the executor for ``plan``.
 
-    Same nested-loop shape as :func:`_generate`, but unification runs
-    entirely in ID space: pattern constants and adorned bindings resolve
-    to int IDs once in the prelude (an absent term resolves to the
-    sentinel ``-1``, which no fact cell ever holds, so the search fails
-    at exactly the step where the dict executor's index probe would),
-    candidate selection probes the relations' lazily built hash buckets,
-    joins compare ints read straight out of the column vectors, and IDs
-    decode back to terms only at the final ``yield``.  Forced facts
-    arrive as pre-encoded ID rows (see :func:`_encode_forced`).
+    The generated function is a Python generator: one nested ``for`` per
+    ordered pattern atom, slot bindings as loop-local variables, a single
+    ``yield`` at the innermost level.  Unification runs entirely in ID
+    space: pattern constants and adorned bindings resolve to int IDs once
+    in the prelude (an absent term resolves to the sentinel ``-1``, which
+    no fact cell ever holds, so the search fails at exactly the step
+    where no fact could match), candidate selection probes the
+    relations' lazily built hash buckets, joins compare ints read
+    straight out of the column vectors, and IDs decode back to terms
+    only at the final ``yield``.  Forced facts arrive as pre-encoded ID
+    rows (see :func:`_encode_forced`).  The instrumented variant
+    additionally accumulates match/backtrack counters and flushes them
+    to the active observability runtime in a ``finally``.
 
     With ``heads`` the generator becomes a *rule executor*: instead of
     decoding assignments, each match appends the encoded head rows
@@ -679,9 +530,7 @@ def _generate_col(
             emit_head_rows(emit_heads_prelude({}))
         else:
             e.emit("yield dict(base)")
-        return _compile_fn(
-            plan, e, instrumented, columnar=True, store=heads is None
-        )
+        return _compile_fn(plan, e, instrumented, store=heads is None)
 
     # Generation truncates at a malformed-ACDom step (it raises when and
     # only when the search reaches it); only earlier steps need prelude
@@ -846,7 +695,7 @@ def _generate_col(
         e.indent += 1
         if len(items) > 1:
             # The winning bucket is only known at run time, so verify
-            # every constrained position (as the dict executor does).
+            # every constrained position.
             for position, value in items:
                 e.emit(f"if C{i}_{position}[o{i}] != {value}: continue")
         for position, slot in step.bind_items:
@@ -882,9 +731,7 @@ def _generate_col(
         e.emit("if _b:")
         e.indent += 1
         e.emit("obs.inc('homomorphism.backtracks', _b)")
-    return _compile_fn(
-        plan, e, instrumented, columnar=True, store=heads is None
-    )
+    return _compile_fn(plan, e, instrumented, store=heads is None)
 
 
 def _encode_forced(plan: JoinPlan, database: Database, forced_facts) -> list:
@@ -917,9 +764,9 @@ def derive_rule_rows(
     forced,
     out: dict,
 ) -> None:
-    """Fire a Datalog rule entirely in ID space (columnar stores only).
+    """Fire a Datalog rule entirely in ID space.
 
-    Joins ``body`` against ``database`` with the columnar executor and
+    Joins ``body`` against ``database`` with the compiled executor and
     stages every head row not already present into ``out`` (a mapping
     from relation key to a set of encoded rows) — no assignment dicts,
     no :class:`Atom` boxing.  ``forced`` is ``None`` for the initial
@@ -966,7 +813,7 @@ def _derive_rows(body, heads, database, forced, out, all_rows: bool) -> None:
     cache_key = (head_key, "all") if all_rows else head_key
     fn = fns.get(cache_key)
     if fn is None:
-        fn = fns[cache_key] = _generate_col(
+        fn = fns[cache_key] = _generate(
             plan, False, heads=head_key, all_rows=all_rows
         )
     fn(database, rows, out)
@@ -995,24 +842,14 @@ def execute_plan(
             if variable not in pattern_vars:
                 base[variable] = value
     obs = _obs_current()
-    if database._columnar:
-        if plan.forced_index is not None:
-            forced_facts = _encode_forced(plan, database, forced_facts)
-        if obs is None:
-            fn = plan._col_fast_fn
-            if fn is None:
-                fn = _generate_col(plan, instrumented=False)
-            return fn(database, forced_facts, base, partial)
-        fn = plan._col_instr_fn
-        if fn is None:
-            fn = _generate_col(plan, instrumented=True)
-        return fn(database, forced_facts, base, partial, obs)
+    if plan.forced_index is not None:
+        forced_facts = _encode_forced(plan, database, forced_facts)
     if obs is None:
-        fn = plan._fast_fn
+        fn = plan._assign_fn
         if fn is None:
             fn = _generate(plan, instrumented=False)
         return fn(database, forced_facts, base, partial)
-    fn = plan._instr_fn
+    fn = plan._assign_instr_fn
     if fn is None:
         fn = _generate(plan, instrumented=True)
     return fn(database, forced_facts, base, partial, obs)

@@ -1,11 +1,7 @@
-"""Columnar, interned fact store with persistent snapshots.
+"""Columnar, interned storage primitives and persistent snapshots.
 
-The dict store (:class:`repro.core.database.Database`) keeps every fact
-three times over: as an :class:`~repro.core.atoms.Atom` in a set, in a
-per-relation set, and in a per-``(relation, position, term)`` bucket.
-Each index probe hashes a 3-tuple whose components are themselves
-tuples, and each join candidate is a boxed Python object.  This module
-replaces that layout with a Soufflé-style columnar store:
+:class:`repro.core.database.Database` keeps its facts in the Soufflé-style
+layout this module provides:
 
 * a per-database :class:`SymbolTable` interning every term that occurs
   in a fact to a dense integer ID (the decode direction is a plain list
@@ -20,19 +16,13 @@ replaces that layout with a Soufflé-style columnar store:
   ordinals``, built lazily per position, maintained incrementally) feed
   the compiled join plans' O(1) probes, and **sorted secondary indexes
   with bisect probes** (a sorted permutation of the column plus a
-  linearly-scanned append tail) back the interpreter-facing
-  ``atoms_matching``/``position_candidates`` paths;
+  linearly-scanned append tail) back the multi-binding
+  ``Database.atoms_matching`` path;
 * semi-naive **delta iteration as index range scans**: because rows are
   append-only and deduplicated, the atoms added in one fixpoint
   iteration are exactly the row ordinals ``[mark, n_rows)``; the
   Datalog engine ships those ranges as :class:`ColumnDelta` row blocks
   instead of re-boxed atom sets.
-
-Everything stays behind the ``Database`` facade — ``add``,
-``__contains__``, iteration, the index accessors — so every engine
-(chase, Datalog, saturation, WFG pipeline) runs unchanged.  Setting
-``REPRO_DICT_STORE=1`` routes ``Database(...)`` back to the dict store,
-mirroring the ``REPRO_NAIVE_JOIN`` escape hatch for the join compiler.
 
 Snapshots
 ---------
@@ -76,18 +66,18 @@ import os
 import struct
 import sys
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .atoms import Atom, RelationKey
-from .database import Database
 from .terms import Constant, Null, Term
-from .theory import ACDOM
 from ..obs.runtime import current as _obs_current
+
+if TYPE_CHECKING:
+    from .database import Database
 
 __all__ = [
     "SymbolTable",
     "ColumnRelation",
-    "ColumnarDatabase",
     "ColumnDelta",
     "SnapshotError",
     "save_snapshot",
@@ -196,7 +186,7 @@ class ColumnDelta:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def decode(self, database: "ColumnarDatabase") -> list[Atom]:
+    def decode(self, database: "Database") -> list[Atom]:
         """Atoms for the rows — the naive interpreter's fallback shape."""
         terms = database._symtab._terms
         name, arity, _ = self.key
@@ -253,8 +243,8 @@ class ColumnRelation:
         self._atoms_cache: Optional[tuple[int, frozenset[Atom]]] = None
         #: Ordinal-aligned boxed-atom cache: rows are append-only, so a
         #: decoded :class:`Atom` stays valid forever and every probe that
-        #: hits the same row returns the same object (the dict store
-        #: gets this for free; re-boxing per probe would dominate it).
+        #: hits the same row returns the same object (re-boxing per
+        #: probe would dominate the probe itself).
         self._decoded: list = []
 
     # -- mutation ------------------------------------------------------
@@ -436,10 +426,6 @@ class ColumnRelation:
                 result.append(ordinal)
         return result
 
-    def column_bytes(self) -> int:
-        """Logical size of the column payload (8 bytes per cell)."""
-        return self.n_rows * self.width * 8
-
     def copy(self) -> "ColumnRelation":
         clone = object.__new__(ColumnRelation)
         clone.key = self.key
@@ -464,409 +450,6 @@ class ColumnRelation:
         return clone
 
 
-class ColumnarDatabase(Database):
-    """The columnar store behind the :class:`Database` facade.
-
-    Construction goes through ``Database(...)`` — ``Database.__new__``
-    dispatches here unless ``REPRO_DICT_STORE`` is set — so all parser,
-    engine and service code keeps creating plain Databases.
-    """
-
-    _columnar = True
-
-    #: Set by :func:`load_snapshot` to the provenance header fields
-    #: (theory / db_key / strategy / bytes); ``None`` on built databases.
-    _snapshot_meta: Optional[dict] = None
-
-    def __init__(self, atoms: Iterable[Atom] = (), freeze_acdom: bool = True) -> None:
-        self._symtab = SymbolTable()
-        self._relations: dict[RelationKey, ColumnRelation] = {}
-        self._n_atoms = 0
-        self._cells = 0
-        self._acdom: Optional[frozenset[Constant]] = None
-        self._acdom_sorted: Optional[tuple[Constant, ...]] = None
-        self._acdom_ids: Optional[frozenset[int]] = None
-        self._acdom_ids_sorted: Optional[tuple[int, ...]] = None
-        self._content_hash: Optional[str] = None
-        #: Buffers (mmap objects) kept alive for snapshot-backed columns.
-        self._buffers: list = []
-        for atom in atoms:
-            self.add(atom)
-        if freeze_acdom:
-            self.freeze_acdom()
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def add(self, atom: Atom) -> bool:
-        if not isinstance(atom, Atom):
-            raise TypeError(f"databases contain atoms, got {atom!r}")
-        if not atom.is_ground():
-            raise ValueError(f"databases contain only ground atoms, got {atom}")
-        key = atom.relation_key
-        relation = self._relations.get(key)
-        if relation is None:
-            relation = ColumnRelation(key)
-            self._relations[key] = relation
-        symtab = self._symtab
-        ids = symtab._ids
-        terms = symtab._terms
-        occurs = symtab._occurs
-        row = []
-        append = row.append
-        for term in atom.all_terms:
-            i = ids.get(term)
-            if i is None:
-                i = len(terms)
-                ids[term] = i
-                terms.append(term)
-                occurs.append(1)
-            else:
-                occurs[i] = 1
-            append(i)
-        if not relation.add_row(tuple(row)):
-            return False
-        self._n_atoms += 1
-        self._cells += relation.width
-        self._content_hash = None
-        if self._acdom is None:
-            self._acdom_sorted = None
-            self._acdom_ids = None
-            self._acdom_ids_sorted = None
-        return True
-
-    def _existing_rows(self, key: RelationKey) -> "set[tuple[int, ...]] | frozenset":
-        """The relation's row set (built if needed); empty if absent.
-        Backs the compiled rule executors' fire-time membership checks."""
-        relation = self._relations.get(key)
-        if relation is None:
-            return frozenset()
-        rowset = relation._rowset
-        if rowset is None:
-            rowset = relation._build_rowset()
-        return rowset
-
-    def _add_row(self, key: RelationKey, row: tuple[int, ...]) -> bool:
-        """Append one already-encoded row — the ID-space twin of
-        :meth:`add`, used by the Datalog engine's row-staged firing.
-        Marks the row's symbols as occurring, exactly as ``add`` would."""
-        relation = self._relations.get(key)
-        if relation is None:
-            relation = ColumnRelation(key)
-            self._relations[key] = relation
-        if not relation.add_row(row):
-            return False
-        occurs = self._symtab._occurs
-        for i in row:
-            occurs[i] = 1
-        self._n_atoms += 1
-        self._cells += relation.width
-        self._content_hash = None
-        if self._acdom is None:
-            self._acdom_sorted = None
-            self._acdom_ids = None
-            self._acdom_ids_sorted = None
-        return True
-
-    def remove(self, atom: Atom) -> bool:
-        """Delete an atom; returns True if it was present.
-
-        Mirrors the dict store's :meth:`Database.remove` contract: the
-        symbol table's occurrence bits stay conservative (a term of a
-        removed atom still reads as occurring — safe for the chase's
-        fresh-null probe, which must never call a taken name free), and
-        a frozen ACDom extension is untouched.
-        """
-        relation = self._relations.get(atom.relation_key)
-        if relation is None or relation.n_rows == 0:
-            return False
-        ids = self._symtab._ids
-        row = []
-        for term in atom.all_terms:
-            i = ids.get(term)
-            if i is None:
-                return False
-            row.append(i)
-        return self._remove_rows(atom.relation_key, ((tuple(row)),)) == 1
-
-    def _remove_rows(
-        self, key: RelationKey, rows: Iterable[tuple[int, ...]]
-    ) -> int:
-        """Delete already-encoded rows — the ID-space twin of
-        :meth:`remove`, used by the incremental engine's compaction.
-        Returns how many rows were actually present and removed."""
-        relation = self._relations.get(key)
-        if relation is None:
-            return 0
-        removed = relation.remove_rows(rows)
-        if removed:
-            self._n_atoms -= removed
-            self._cells -= removed * relation.width
-            self._content_hash = None
-            if self._acdom is None:
-                self._acdom_sorted = None
-                self._acdom_ids = None
-                self._acdom_ids_sorted = None
-        return removed
-
-    def freeze_acdom(self) -> None:
-        self._acdom = frozenset(self._constants_now())
-        self._acdom_sorted = None
-        self._acdom_ids = None
-        self._acdom_ids_sorted = None
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def __contains__(self, atom: Atom) -> bool:
-        relation = self._relations.get(atom.relation_key)
-        if relation is None or relation.n_rows == 0:
-            return False
-        ids = self._symtab._ids
-        row = []
-        for term in atom.all_terms:
-            i = ids.get(term)
-            if i is None:
-                return False
-            row.append(i)
-        rowset = relation._rowset
-        if rowset is None:
-            rowset = relation._build_rowset()
-        return tuple(row) in rowset
-
-    def __iter__(self) -> Iterator[Atom]:
-        for key, relation in self._relations.items():
-            if relation.n_rows:
-                yield from self.atoms_for(key)
-
-    def __len__(self) -> int:
-        return self._n_atoms
-
-    def _decode_row(self, key: RelationKey, row: tuple[int, ...]) -> Atom:
-        terms = self._symtab._terms
-        arity = key[1]
-        args = tuple(terms[i] for i in row[:arity])
-        annotation = tuple(terms[i] for i in row[arity:])
-        return Atom._make(key[0], args, annotation, None)
-
-    def _decode_ordinal(self, relation: ColumnRelation, ordinal: int) -> Atom:
-        """Decode one row through the relation's ordinal-aligned atom
-        cache — repeated probes of the same row return the same object."""
-        decoded = relation._decoded
-        if ordinal < len(decoded):
-            atom = decoded[ordinal]
-            if atom is not None:
-                return atom
-        else:
-            decoded.extend([None] * (relation.n_rows - len(decoded)))
-        atom = self._decode_row(relation.key, relation.row(ordinal))
-        decoded[ordinal] = atom
-        return atom
-
-    def atoms(self) -> frozenset[Atom]:
-        out: frozenset[Atom] = frozenset()
-        for key, relation in self._relations.items():
-            if relation.n_rows:
-                out |= self.atoms_for(key)
-        return out
-
-    def atoms_for(self, key: RelationKey) -> frozenset[Atom]:
-        relation = self._relations.get(key)
-        if relation is None or relation.n_rows == 0:
-            return frozenset()
-        cached = relation._atoms_cache
-        if cached is not None and cached[0] == relation.n_rows:
-            return cached[1]
-        decoded = frozenset(
-            self._decode_ordinal(relation, ordinal)
-            for ordinal in range(relation.n_rows)
-        )
-        relation._atoms_cache = (relation.n_rows, decoded)
-        return decoded
-
-    def atoms_matching(
-        self, key: RelationKey, bindings: Mapping[int, Term]
-    ) -> set[Atom]:
-        relation = self._relations.get(key)
-        if relation is None or relation.n_rows == 0:
-            return set()
-        if not bindings:
-            return set(self.atoms_for(key))
-        ids = self._symtab._ids
-        encoded: list[tuple[int, int]] = []
-        for position, term in bindings.items():
-            i = ids.get(term)
-            if i is None:
-                return set()
-            encoded.append((position, i))
-        if len(encoded) == 1:
-            # Single-binding fast path: one hash-bucket probe, decoded
-            # through the ordinal atom cache — matches the dict store's
-            # prebuilt per-position sets without materializing them.
-            position, value = encoded[0]
-            ordinals = relation.bucket(position).get(value)
-            if not ordinals:
-                return set()
-            decode = self._decode_ordinal
-            return {decode(relation, ordinal) for ordinal in ordinals}
-        # Bisect-probe the sorted secondary index at every bound
-        # position, then verify the smallest candidate range against the
-        # raw columns (cheaper than materializing ordinal-set
-        # intersections, same shape as the dict store's probe).
-        candidates = [
-            relation.sorted_probe(position, value)
-            for position, value in encoded
-        ]
-        smallest = min(candidates, key=len)
-        cols = relation._cols
-        matches: set[Atom] = set()
-        for ordinal in smallest:
-            for position, value in encoded:
-                if cols[position][ordinal] != value:
-                    break
-            else:
-                matches.add(self._decode_ordinal(relation, ordinal))
-        return matches
-
-    # ------------------------------------------------------------------
-    # planner-facing index statistics
-    # ------------------------------------------------------------------
-    def relation_size(self, key: RelationKey) -> int:
-        relation = self._relations.get(key)
-        return relation.n_rows if relation is not None else 0
-
-    def position_candidates(
-        self, key: RelationKey, position: int, term: Term
-    ) -> frozenset[Atom]:
-        relation = self._relations.get(key)
-        if relation is None or relation.n_rows == 0:
-            return frozenset()
-        value = self._symtab._ids.get(term)
-        if value is None:
-            return frozenset()
-        return frozenset(
-            self._decode_row(key, relation.row(ordinal))
-            for ordinal in relation.sorted_probe(position, value)
-        )
-
-    def index_stats(self) -> dict[str, int]:
-        built_buckets = sum(
-            len(bucket)
-            for relation in self._relations.values()
-            for bucket in relation._buckets
-            if bucket is not None
-        )
-        return {
-            "atoms": self._n_atoms,
-            "relations": sum(
-                1 for relation in self._relations.values() if relation.n_rows
-            ),
-            "position_index_entries": built_buckets,
-            "terms": sum(self._symtab._occurs),
-        }
-
-    def store_stats(self) -> dict[str, int | str]:
-        """O(1) size summary for the ``store.*`` observability gauges."""
-        return {
-            "kind": "columnar",
-            "atoms": self._n_atoms,
-            "symbols": len(self._symtab),
-            "bytes": self._cells * 8,
-        }
-
-    def relations(self) -> set[RelationKey]:
-        return {
-            key
-            for key, relation in self._relations.items()
-            if relation.n_rows
-        }
-
-    def _constants_now(self) -> set[Constant]:
-        seen: set[int] = set()
-        for key, relation in self._relations.items():
-            if key[0] == ACDOM:
-                continue
-            for col in relation._cols:
-                seen.update(col)
-        terms = self._symtab._terms
-        return {
-            term
-            for i in seen
-            if isinstance((term := terms[i]), Constant)
-        }
-
-    # -- ACDom in ID space (for the columnar plan executors) -----------
-    def _acdom_id_set(self) -> frozenset[int]:
-        """IDs of the active-domain constants.  Membership implies the
-        symbol is a Constant, so the executors skip the type check."""
-        if self._acdom is not None:
-            cached = self._acdom_ids
-            if cached is not None:
-                return cached
-        intern = self._symtab.intern
-        ids = frozenset(intern(constant) for constant in self.active_constants())
-        if self._acdom is not None:
-            self._acdom_ids = ids
-        return ids
-
-    def _acdom_enum_ids(self) -> tuple[int, ...]:
-        """IDs of the active domain in term sort order (enumeration)."""
-        cached = self._acdom_ids_sorted
-        if cached is not None:
-            return cached
-        intern = self._symtab.intern
-        ids = tuple(intern(constant) for constant in self.acdom_sorted())
-        self._acdom_ids_sorted = ids
-        return ids
-
-    def has_term(self, term: Term) -> bool:
-        i = self._symtab._ids.get(term)
-        return i is not None and self._symtab._occurs[i] == 1
-
-    def terms(self) -> set[Term]:
-        return set(self._symtab.occurring())
-
-    def nulls(self) -> set[Null]:
-        return {t for t in self._symtab.occurring() if isinstance(t, Null)}
-
-    def constants(self) -> set[Constant]:
-        return {t for t in self._symtab.occurring() if isinstance(t, Constant)}
-
-    # ------------------------------------------------------------------
-    # comparisons and copies
-    # ------------------------------------------------------------------
-    def copy(self) -> "ColumnarDatabase":
-        clone = object.__new__(ColumnarDatabase)
-        clone._symtab = self._symtab.copy()
-        clone._relations = {
-            key: relation.copy() for key, relation in self._relations.items()
-        }
-        clone._n_atoms = self._n_atoms
-        clone._cells = self._cells
-        clone._acdom = self._acdom
-        clone._acdom_sorted = self._acdom_sorted
-        clone._acdom_ids = self._acdom_ids
-        clone._acdom_ids_sorted = self._acdom_ids_sorted
-        clone._content_hash = self._content_hash
-        clone._buffers = list(self._buffers)
-        return clone
-
-    def ground_atoms(self) -> frozenset[Atom]:
-        return frozenset(atom for atom in self if not atom.nulls())
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Database):
-            return NotImplemented
-        if len(self) != len(other):
-            return False
-        return self.atoms() == other.atoms()
-
-    def __repr__(self) -> str:
-        return f"ColumnarDatabase({self._n_atoms} atoms)"
-
-
 # ----------------------------------------------------------------------
 # snapshot persistence
 # ----------------------------------------------------------------------
@@ -881,21 +464,19 @@ def _term_kind_byte(term: Term) -> int:
 
 
 def save_snapshot(
-    database: ColumnarDatabase,
+    database: Database,
     path: str,
     *,
     theory: Optional[str] = None,
     db_key: Optional[str] = None,
     strategy: Optional[str] = None,
 ) -> int:
-    """Serialize a columnar database to ``path``; returns bytes written.
+    """Serialize a database to ``path``; returns bytes written.
 
     The write lands in a temp file first and is published with
     ``os.replace`` so a concurrent loader (or a crash mid-write) never
     observes a torn snapshot under the final name.
     """
-    if not getattr(database, "_columnar", False):
-        raise SnapshotError("snapshots require the columnar store")
     import array as _array
 
     symtab = database._symtab
@@ -971,7 +552,7 @@ def load_snapshot(
     expect_theory: Optional[str] = None,
     expect_db_key: Optional[str] = None,
     expect_strategy: Optional[str] = None,
-) -> ColumnarDatabase:
+) -> Database:
     """Load a snapshot written by :func:`save_snapshot` via ``mmap``.
 
     Columns come up as zero-copy ``memoryview('q')`` windows into the
@@ -1031,7 +612,7 @@ def _parse_snapshot(
     expect_theory: Optional[str],
     expect_db_key: Optional[str],
     expect_strategy: Optional[str],
-) -> ColumnarDatabase:
+) -> Database:
     if len(view) < len(SNAPSHOT_MAGIC) + 8 + 32:
         raise _load_error(f"truncated snapshot (too short): {path}")
     if bytes(view[: len(SNAPSHOT_MAGIC)]) != SNAPSHOT_MAGIC:
@@ -1081,13 +662,13 @@ def _parse_snapshot(
         occurs.append(1 if kind & _KIND_OCCURS else 0)
     offset += -offset % 8  # padding to the 8-aligned column payload
 
-    database = object.__new__(ColumnarDatabase)
+    # Imported here: ``repro.core.database`` builds on this module.
+    from .database import Database
+
+    database = Database(freeze_acdom=False)
     database._symtab = symtab
-    database._relations = {}
     database._n_atoms = header["atoms"]
-    database._cells = 0
-    database._content_hash = None
-    database._buffers = [mapped]
+    database._buffers.append(mapped)
     for name, arity, annotation_arity, n_rows in header["relations"]:
         key = (name, arity, annotation_arity)
         relation = ColumnRelation(key)
@@ -1104,21 +685,11 @@ def _parse_snapshot(
         database._relations[key] = relation
         database._cells += n_rows * relation.width
     acdom_ids = header.get("acdom")
-    if acdom_ids is None:
-        database._acdom = None
-        database._acdom_ids = None
-        database._acdom_ids_sorted = None
-        database._acdom_sorted = None
-    else:
+    if acdom_ids is not None:
         acdom_terms = frozenset(terms[i] for i in acdom_ids)
         if not all(isinstance(term, Constant) for term in acdom_terms):
             raise _load_error(f"snapshot ACDom contains a non-constant: {path}")
         database._acdom = acdom_terms
-        database._acdom_ids = frozenset(acdom_ids)
-        database._acdom_sorted = tuple(sorted(acdom_terms))
-        database._acdom_ids_sorted = tuple(
-            ids[term] for term in database._acdom_sorted
-        )
     database._snapshot_meta = {
         "theory": header.get("theory"),
         "db_key": header.get("db_key"),

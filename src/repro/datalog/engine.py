@@ -83,46 +83,21 @@ def _tick(
     return None
 
 
-def _ingest_delta(database: Database, delta: set[Atom]) -> dict[str, list]:
-    """Add the delta atoms and return them grouped by relation *name* for
-    delta pinning.
-
-    On the dict store the groups are plain atom lists.  On the columnar
-    store each group is a list of :class:`~repro.core.store.ColumnDelta`
-    row blocks obtained by an ordinal **range scan**: rows are append-only
-    and deduplicated, so the atoms added this iteration are exactly the
-    ordinals ``[mark, n_rows)`` of each touched relation — no re-boxing,
-    and the join executor consumes the encoded rows directly.
-    """
-    groups: dict[str, list] = defaultdict(list)
-    if not database._columnar:
-        for atom in delta:
-            database.add(atom)
-            groups[atom.relation].append(atom)
-        return groups
-    marks: dict = {}
-    for atom in delta:
-        key = atom.relation_key
-        if key not in marks:
-            marks[key] = database.relation_size(key)
-        database.add(atom)
-    for key, mark in marks.items():
-        relation = database._relations[key]
-        rows = relation.rows_between(mark, relation.n_rows)
-        if rows:
-            groups[key[0]].append(ColumnDelta(key, rows))
-    return groups
-
-
 def _ingest_mixed(
     database: Database, staged: dict, delta: set[Atom]
 ) -> tuple[dict[str, list], int]:
-    """Columnar ingestion for a mix of staged ID rows (from the row-path
-    rule executors) and boxed atoms (from negation rules).
+    """Add one iteration's derivations: staged ID rows (from the
+    row-path rule executors) and boxed atoms (from the assignment path).
 
     Marks every touched relation before mutating, applies both payloads
-    (each deduplicates against the relation), and returns the range-scan
-    delta groups plus the number of genuinely new facts."""
+    (each deduplicates against the relation), and returns the delta
+    grouped by relation *name* for delta pinning, plus the number of
+    genuinely new facts.  Each group is a list of
+    :class:`~repro.core.store.ColumnDelta` row blocks obtained by an
+    ordinal **range scan**: rows are append-only and deduplicated, so
+    the facts added this iteration are exactly the ordinals
+    ``[mark, n_rows)`` of each touched relation — no re-boxing, and the
+    join executor consumes the encoded rows directly."""
     marks: dict = {}
     for key in staged:
         marks[key] = database.relation_size(key)
@@ -174,15 +149,12 @@ def _evaluate_stratum(
         tuple(rule.positive_body()) for rule in stratum
     ]
 
-    # On columnar stores, negation-free rules fire through compiled
-    # ID-space executors: head rows are staged encoded, and nothing is
-    # boxed until a caller decodes.  Negation rules (they must consult
-    # the boxed membership of lower strata mid-match), instrumented
-    # runs, and REPRO_NAIVE_JOIN reference runs keep the assignment
-    # path.
-    row_path = (
-        database._columnar and obs is None and not _naive_requested()
-    )
+    # Negation-free rules fire through compiled ID-space executors:
+    # head rows are staged encoded, and nothing is boxed until a caller
+    # decodes.  Negation rules (they must consult the boxed membership
+    # of lower strata mid-match), instrumented runs, and
+    # REPRO_NAIVE_JOIN reference runs keep the assignment path.
+    row_path = obs is None and not _naive_requested()
     in_rows = [
         row_path and not rule.negative_body() for rule in stratum
     ]
@@ -198,11 +170,7 @@ def _evaluate_stratum(
             for assignment in homomorphisms(body, database):
                 if _negation_satisfied(rule, assignment, database):
                     _fire(rule, assignment, database, delta)
-    if row_path:
-        delta_groups, added = _ingest_mixed(database, staged, delta)
-    else:
-        added = len(delta)
-        delta_groups = _ingest_delta(database, delta)
+    delta_groups, added = _ingest_mixed(database, staged, delta)
     if obs is not None:
         obs.observe("delta_size", added)
         obs.inc("atoms_derived", added)
@@ -243,11 +211,7 @@ def _evaluate_stratum(
                 ):
                     if _negation_satisfied(rule, assignment, database):
                         _fire(rule, assignment, database, next_delta)
-        if row_path:
-            delta_groups, added = _ingest_mixed(database, staged, next_delta)
-        else:
-            added = len(next_delta)
-            delta_groups = _ingest_delta(database, next_delta)
+        delta_groups, added = _ingest_mixed(database, staged, next_delta)
         if obs is not None:
             obs.observe("delta_size", added)
             obs.inc("atoms_derived", added)

@@ -30,11 +30,11 @@ instead of the database:
   null-introducing derivation, so it falls back to a full recompute —
   reported in the update stats, never silent.
 
-Programs with negation, programs reading ``ACDom`` (inserts can grow
-the active domain), and dict-store databases likewise run in reported
-recompute mode.  Every path leaves the model equal to a from-scratch
-evaluation of the post-update database — the Hypothesis differential
-suite asserts exactly that.
+Programs with negation and programs reading ``ACDom`` (inserts can
+grow the active domain) likewise run in reported recompute mode.  Every
+path leaves the model equal to a from-scratch evaluation of the
+post-update database — the Hypothesis differential suite asserts
+exactly that.
 """
 
 from __future__ import annotations
@@ -134,10 +134,8 @@ class UpdateStats:
         }
 
 
-def _datalog_fallback_reason(program: Theory, columnar: bool) -> Optional[str]:
+def _datalog_fallback_reason(program: Theory) -> Optional[str]:
     """Why a program cannot take the counting path (``None`` = it can)."""
-    if not columnar:
-        return "dict_store"
     if any(rule.has_negation() for rule in program):
         return "negation"
     for rule in program:
@@ -148,21 +146,6 @@ def _datalog_fallback_reason(program: Theory, columnar: bool) -> Optional[str]:
             if atom.relation == ACDOM:
                 return "acdom"
     return None
-
-
-def _unfreeze_acdom(database: Database) -> None:
-    """Let the active domain track the live extensional facts.
-
-    A maintained input database must hash and evaluate exactly like a
-    freshly parsed copy of its current contents, so the frozen-at-parse
-    ACDom extension is released; engines re-freeze their own copies at
-    evaluation time, which reproduces from-scratch semantics.
-    """
-    database._acdom = None
-    database._acdom_sorted = None
-    if database._columnar:
-        database._acdom_ids = None
-        database._acdom_ids_sorted = None
 
 
 def _model_answers(model: Database, output: str) -> set[tuple[Constant, ...]]:
@@ -198,10 +181,8 @@ class LiveModel:
         self.program = program
         self.stratification = stratification or stratify(program)
         self.edb = database.copy()
-        _unfreeze_acdom(self.edb)
-        self.fallback_reason = _datalog_fallback_reason(
-            program, self.edb._columnar
-        )
+        self.edb.unfreeze_acdom()
+        self.fallback_reason = _datalog_fallback_reason(program)
         self.mode = "counting" if self.fallback_reason is None else "recompute"
         # ``model`` lets a caller adopt an existing materialization (a
         # cached or snapshot-loaded fixpoint) instead of re-evaluating;
@@ -585,7 +566,7 @@ class RecomputeLiveModel:
         self.fallback_reason = reason
         self.mode = "recompute"
         self.edb = database.copy()
-        _unfreeze_acdom(self.edb)
+        self.edb.unfreeze_acdom()
         self.model = model if model is not None else materialize(self.edb)
 
     def answers(self, output: str) -> set[tuple[Constant, ...]]:
@@ -654,7 +635,7 @@ class ChaseLiveModel:
         self.policy = policy
         self.budget = budget or ChaseBudget()
         self.edb = database.copy()
-        _unfreeze_acdom(self.edb)
+        self.edb.unfreeze_acdom()
         self.fallback_reason = (
             "acdom" if ACDOM in theory.relations() else None
         )

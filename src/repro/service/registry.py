@@ -208,8 +208,6 @@ class CompiledTheory:
         cached, in memory or on disk)."""
         if self.snapshot_dir is None or db_key is None:
             return
-        if not getattr(fixpoint, "_columnar", False):
-            return  # dict-store escape hatch: nothing to serialize
         path = self._snapshot_path(db_key)
         if os.path.exists(path):
             return

@@ -148,20 +148,6 @@ class TestReportedFallbacks:
         # Inserts grow the active domain: the recompute must see c and d.
         assert (Constant("c"),) in live.answers("reach")
 
-    def test_dict_store_falls_back_with_reason(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DICT_STORE", "1")
-        db = parse_database("e(a, b).")
-        assert not db._columnar
-        live = LiveModel(parse_theory(TC), db)
-        assert live.fallback_reason == "dict_store"
-        stats = live.apply(inserts=atoms("e(b, c)"))
-        assert stats.fallback == "dict_store"
-        assert live.answers("t") == {
-            (Constant("a"), Constant("b")),
-            (Constant("b"), Constant("c")),
-            (Constant("a"), Constant("c")),
-        }
-
     def test_recompute_live_model_reports_its_reason(self):
         program = parse_theory(TC)
 
@@ -240,7 +226,7 @@ class TestUpdateStatsShape:
 
 class TestContentHashMemo:
     """Satellite: the structural hash memo must be invalidated by every
-    delta path, on both the columnar store and the dict store."""
+    delta path."""
 
     def check_interleaved(self, db):
         baseline = db.content_hash()
@@ -258,16 +244,8 @@ class TestContentHashMemo:
         )
         assert mirror.content_hash() == db.content_hash()
 
-    def test_columnar_store(self):
-        db = parse_database("e(a, b). e(b, c).")
-        assert db._columnar
-        self.check_interleaved(db)
-
-    def test_dict_store(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DICT_STORE", "1")
-        db = parse_database("e(a, b). e(b, c).")
-        assert not db._columnar
-        self.check_interleaved(db)
+    def test_interleaved_add_remove(self):
+        self.check_interleaved(parse_database("e(a, b). e(b, c)."))
 
     def test_live_model_edb_hash_tracks_every_update(self):
         program = parse_theory(TC)

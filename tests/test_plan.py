@@ -316,6 +316,8 @@ class TestCompiledPlanShape:
         source = plan.source()
         assert "def _plan_fn(" in source
         assert "yield" in source
+        # The executor execute_plan runs unifies in the store's ID space.
+        assert "_symtab" in source
 
     def test_plans_cover_all_atoms(self):
         pattern = (Atom("E", (X, Y)), Atom("T", (Z,)), Atom("E", (Y, Z)))

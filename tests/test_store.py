@@ -1,27 +1,27 @@
 """Unit tests for the columnar fact store (repro.core.store).
 
 Covers the symbol table, column relations (dedup, hash buckets, sorted
-bisect probes, range scans), the ``Database`` facade dispatch and the
-``REPRO_DICT_STORE`` escape hatch, content-hash memoization, and the
-snapshot lifecycle: round-trip equality, copy-on-write thaw of mapped
-columns, the cache-key contract, and the rejection of corrupted,
-truncated, and wrong-version files with the typed :class:`SnapshotError`
-(never a crash, never a silently-wrong model).
+bisect probes, range scans), content-hash memoization and its golden
+value, and the snapshot lifecycle: round-trip equality, a byte-stable
+format, copy-on-write thaw of mapped columns, the cache-key contract,
+and the rejection of corrupted, truncated, and wrong-version files with
+the typed :class:`SnapshotError` (never a crash, never a silently-wrong
+model).
 """
 
+import hashlib
 import os
 import struct
+import sys
 
 import pytest
 
-from repro.core import Atom, Constant, Database, Variable
-from repro.core.database import dict_database
+from repro.core import Atom, Constant, Database, Variable, parse_database
 from repro.core.store import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
     ColumnDelta,
     ColumnRelation,
-    ColumnarDatabase,
     SnapshotError,
     SymbolTable,
     load_snapshot,
@@ -31,6 +31,9 @@ from repro.core.terms import Null
 
 A, B, C, D = (Constant(name) for name in "abcd")
 N0, N1 = Null("n0"), Null("n1")
+
+#: The database whose content hash and snapshot bytes are pinned below.
+GOLDEN_DATABASE = "E(a,b). E(b,c). S(c)."
 
 
 def fact(relation, *names):
@@ -97,35 +100,6 @@ class TestColumnRelation:
         assert relation.rows_between(mark, relation.n_rows) == [(2, 3), (4, 5)]
 
 
-class TestDispatch:
-    def test_database_constructs_columnar_by_default(self):
-        db = Database([fact("R", "a", "b")])
-        assert isinstance(db, ColumnarDatabase)
-        assert db._columnar is True
-
-    def test_dict_database_helper_bypasses_dispatch(self):
-        db = dict_database([fact("R", "a", "b")])
-        assert type(db) is Database
-        assert db._columnar is False
-
-    def test_escape_hatch_restores_dict_store(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DICT_STORE", "1")
-        db = Database([fact("R", "a", "b")])
-        assert type(db) is Database
-        monkeypatch.setenv("REPRO_DICT_STORE", "0")
-        assert isinstance(Database(), ColumnarDatabase)
-
-    def test_copy_preserves_store_kind(self):
-        assert isinstance(Database().copy(), ColumnarDatabase)
-        assert type(dict_database().copy()) is Database
-
-    def test_mixed_kind_equality(self):
-        atoms = [fact("R", "a", "b"), fact("S", "c")]
-        assert Database(atoms) == dict_database(atoms)
-        assert dict_database(atoms) == Database(atoms)
-        assert Database(atoms) != dict_database(atoms[:1])
-
-
 class TestContentHash:
     def test_memoized_until_mutation(self):
         db = Database([fact("R", "a", "b")])
@@ -139,7 +113,13 @@ class TestContentHash:
         one = Database([fact("R", "a", "b"), fact("S", "c")])
         other = Database([fact("S", "c"), fact("R", "a", "b")])
         assert one.content_hash() == other.content_hash()
-        assert one.content_hash() == dict_database(iter(one)).content_hash()
+
+    def test_golden_value(self):
+        # Content hashes name snapshot files already on disk; a changed
+        # value would silently orphan every one of them.
+        assert parse_database(GOLDEN_DATABASE).content_hash() == (
+            "d8805c51177c97f8933843e2c3fcd296b43fea63e8611db4b9fe3ab27ada2c15"
+        )
 
     def test_memo_regression_same_object_when_unchanged(self):
         # The registry keys its materialization LRU by this hash on
@@ -204,10 +184,17 @@ class TestSnapshotRoundTrip:
         # The original rows survived the copy-on-write thaw.
         assert set(db) < set(loaded)
 
-    def test_snapshot_requires_columnar(self, tmp_path):
-        with pytest.raises(SnapshotError):
-            save_snapshot(dict_database(self.ATOMS),
-                          str(tmp_path / "x.snap"))
+    @pytest.mark.skipif(
+        sys.byteorder != "little", reason="columns are native int64"
+    )
+    def test_format_is_byte_stable(self, tmp_path):
+        # SNAPSHOT_VERSION 1 files written by earlier builds must keep
+        # loading, so the writer must keep producing the same bytes.
+        path = self.save(tmp_path, parse_database(GOLDEN_DATABASE))
+        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        assert digest == (
+            "cf6d77115c836169964a61890e2a31deff318abccfebb353e22017bafbb114aa"
+        )
 
     def test_missing_file_raises_file_not_found(self, tmp_path):
         # An expected cache miss, distinct from the typed error.
@@ -316,17 +303,12 @@ class TestRegistryFallback:
 
 
 class TestStoreStats:
-    def test_columnar_reports_bytes_and_symbols(self):
+    def test_reports_bytes_and_symbols(self):
         db = Database([fact("E", "a", "b"), fact("E", "b", "c")])
         stats = db.store_stats()
-        assert stats["kind"] == "columnar"
         assert stats["atoms"] == 2
         assert stats["symbols"] == 3
         assert stats["bytes"] == 4 * 8  # 2 rows x 2 columns x int64
-
-    def test_dict_store_reports_kind(self):
-        stats = dict_database([fact("E", "a", "b")]).store_stats()
-        assert stats["kind"] == "dict"
 
 
 class TestFacadeSemantics:

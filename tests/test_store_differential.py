@@ -1,35 +1,31 @@
-"""Differential property tests: columnar store vs the dict store.
+"""Differential property tests for the fact store against its oracles.
 
-The columnar store (:class:`repro.core.store.ColumnarDatabase`, the
-default behind ``Database(...)``) and the dict store
-(:func:`repro.core.database.dict_database`, also reachable via
-``REPRO_DICT_STORE=1``) must agree observably on every facade operation
-— add/contains/iterate/index probes — and produce identical join
-results, Datalog fixpoints, and chase models on arbitrary inputs.
-Snapshots must round-trip to an equal database under both comparisons.
+* Facade operations (``add`` return values, ``in``, iteration, ``len``,
+  ``==``, ``relations``/``constants``/``nulls``/``terms``,
+  ``atoms_matching``) must agree with a plain ``set[Atom]`` model.
+* The row-executor Datalog fixpoint must equal the same program run on
+  the naive homomorphism interpreter (``REPRO_NAIVE_JOIN=1``), which
+  takes the boxed assignment path throughout.
+* Snapshots must round-trip to an equal database.
+
+Join and chase results on the store are held to the naive interpreter
+by ``tests/test_plan_differential.py``.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    Atom,
-    Constant,
-    Database,
-    Variable,
-    homomorphisms,
-)
-from repro.core.database import dict_database
+from repro.core import Atom, Constant, Database, Null, Theory
 from repro.core.store import load_snapshot, save_snapshot
-from repro.core.terms import Null
+from repro.datalog import evaluate
 from repro.bench.generators import (
     random_database,
     random_guarded_theory,
     random_signature,
 )
 
-VARIABLES = [Variable(name) for name in ("x", "y", "z")]
 CONSTANTS = [Constant(name) for name in ("a", "b", "c", "d")]
 NULLS = [Null(name) for name in ("n0", "n1")]
 RELATIONS = {"E": 2, "R": 2, "S": 1, "T": 3}
@@ -45,77 +41,61 @@ def ground_atoms(draw):
     return Atom(relation, args)
 
 
-@st.composite
-def patterns(draw):
-    relation = draw(relation_names)
-    args = tuple(
-        draw(st.sampled_from(CONSTANTS + VARIABLES))
-        for _ in range(RELATIONS[relation])
-    )
-    return Atom(relation, args)
-
-
 atom_lists = st.lists(ground_atoms(), max_size=24)
 
 
-def assignments(pattern, database):
+def model_terms(model: set[Atom]) -> set:
+    return {term for atom in model for term in atom.all_terms}
+
+
+def model_matching(model: set[Atom], key, bindings) -> set[Atom]:
     return {
-        tuple(sorted((v.name, t) for v, t in assignment.items()))
-        for assignment in homomorphisms((pattern,), database)
+        atom
+        for atom in model
+        if atom.relation_key == key
+        and all(atom.all_terms[i] == term for i, term in bindings.items())
     }
 
 
 class TestFacadeAgreement:
-    @given(atom_lists)
+    @given(atom_lists, atom_lists)
     @settings(max_examples=60, deadline=None)
-    def test_add_contains_iterate(self, atoms):
-        columnar, dictionary = Database(), dict_database()
+    def test_add_contains_iterate(self, atoms, probes):
+        database, model = Database(), set()
         for atom in atoms:
-            assert columnar.add(atom) == dictionary.add(atom)
-        assert set(columnar) == set(dictionary)
-        assert len(columnar) == len(dictionary)
-        assert columnar == dictionary
-        for atom in atoms:
-            assert (atom in columnar) == (atom in dictionary)
-        probe = Atom("E", (CONSTANTS[0], CONSTANTS[1]))
-        assert (probe in columnar) == (probe in dictionary)
-        assert columnar.relations() == dictionary.relations()
-        assert columnar.constants() == dictionary.constants()
-        assert columnar.nulls() == dictionary.nulls()
-        assert columnar.terms() == dictionary.terms()
-        assert columnar.content_hash() == dictionary.content_hash()
-
-    @given(atom_lists, patterns())
-    @settings(max_examples=60, deadline=None)
-    def test_single_pattern_joins_agree(self, atoms, pattern):
-        columnar, dictionary = Database(atoms), dict_database(atoms)
-        assert assignments(pattern, columnar) == assignments(
-            pattern, dictionary
-        )
-
-    @given(atom_lists, st.lists(patterns(), min_size=2, max_size=3))
-    @settings(max_examples=40, deadline=None)
-    def test_multi_pattern_joins_agree(self, atoms, body):
-        columnar, dictionary = Database(atoms), dict_database(atoms)
-        body = tuple(body)
-        left = {
-            tuple(sorted((v.name, t) for v, t in a.items()))
-            for a in homomorphisms(body, columnar)
+            assert database.add(atom) == (atom not in model)
+            model.add(atom)
+        assert set(database) == model
+        assert len(database) == len(model)
+        assert database == Database(model)
+        assert database.copy() == database
+        for atom in atoms + probes:
+            assert (atom in database) == (atom in model)
+        if probes and probes[0] not in model:
+            assert database != Database(model | {probes[0]})
+        assert database.relations() == {atom.relation_key for atom in model}
+        assert database.terms() == model_terms(model)
+        assert database.constants() == {
+            t for t in model_terms(model) if isinstance(t, Constant)
         }
-        right = {
-            tuple(sorted((v.name, t) for v, t in a.items()))
-            for a in homomorphisms(body, dictionary)
+        assert database.nulls() == {
+            t for t in model_terms(model) if isinstance(t, Null)
         }
-        assert left == right
+        for probe in probes:
+            for bindings in (
+                {},
+                {0: probe.args[0]},
+                dict(enumerate(probe.args)),
+            ):
+                assert database.atoms_matching(
+                    probe.relation_key, bindings
+                ) == model_matching(model, probe.relation_key, bindings)
 
 
 class TestEngineAgreement:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_datalog_fixpoints_agree(self, seed):
-        from repro.datalog import evaluate
-        from repro.core.theory import Theory
-
         rng = random.Random(seed)
         signature = random_signature(rng, n_relations=3, max_arity=2)
         database = random_database(rng, signature, n_constants=5, n_atoms=10)
@@ -123,45 +103,24 @@ class TestEngineAgreement:
             rng, signature, n_rules=4, existential_probability=0.0
         )
         program = Theory([rule for rule in theory if rule.is_datalog()])
-        columnar = evaluate(program, Database(database))
-        dictionary = evaluate(program, dict_database(database))
-        assert set(columnar) == set(dictionary)
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_chase_models_agree(self, seed):
-        from repro.chase.runner import ChaseBudget, RESTRICTED, chase
-
-        rng = random.Random(seed)
-        signature = random_signature(rng, n_relations=3, max_arity=2)
-        database = random_database(rng, signature, n_constants=4, n_atoms=8)
-        theory = random_guarded_theory(
-            rng, signature, n_rules=3, existential_probability=0.4
-        )
-        budget = ChaseBudget(max_steps=200)
-        columnar = chase(
-            theory, Database(database), policy=RESTRICTED, budget=budget
-        )
-        dictionary = chase(
-            theory, dict_database(database), policy=RESTRICTED, budget=budget
-        )
-        # The chase is deterministic given the trigger order, which both
-        # stores preserve (append-ordered iteration), so the models match
-        # atom for atom — including null names.
-        assert set(columnar.database) == set(dictionary.database)
-        assert columnar.complete == dictionary.complete
+        rows = evaluate(program, database)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_NAIVE_JOIN", "1")
+            naive = evaluate(program, database)
+        assert set(rows) == set(naive)
 
 
 class TestSnapshotRoundTripProperty:
     @given(atoms=atom_lists)
     @settings(max_examples=40, deadline=None)
     def test_round_trip_equals_both_stores(self, atoms, tmp_path_factory):
+        # Both references: the store that was saved and the plain set.
         path = str(tmp_path_factory.mktemp("snap") / "model.snap")
         original = Database(atoms)
         save_snapshot(original, path)
         loaded = load_snapshot(path)
         assert loaded == original
-        assert loaded == dict_database(atoms)
+        assert set(loaded) == set(atoms)
         assert loaded.content_hash() == original.content_hash()
         for key in original.relations():
             assert loaded.atoms_for(key) == original.atoms_for(key)
