@@ -26,10 +26,24 @@ module compiles a pattern **once** into a :class:`JoinPlan`:
   at the innermost level — compiled with :func:`compile` once and
   reused for every execution of the plan.
 
-Plans are cached per ``(pattern, adornment-keyset, forced-index)`` and
-reused across chase rounds, Datalog iterations, saturation and
-containment checks.  Cache traffic is visible in ``--stats`` output as
-``plan.cache_hits`` / ``plan.compile_calls``.
+Constants are executor *arguments*, not part of the generated code.  A
+pattern's *constant-lifted shape* replaces each distinct constant by its
+index in the pattern's constant tuple; everything the static order, the
+templates and the generated source depend on is a function of that shape
+(relation keys, variables, which positions share a distinct constant),
+the adornment and the forced index.  Patterns that differ only in their
+constants — the rules ``pg`` grounds over a fresh database, say — share
+one :class:`_Shape` and its executors, and each call passes the
+pattern's constant tuple.
+
+Two tables cache this, both LRU-bounded by one capacity: the
+*exact-pattern* table maps ``(pattern, adornment-keyset, forced-index)``
+to its :class:`JoinPlan` (the hit path: one dict lookup, no lifting), and
+the *shape* table maps lifted keys to shared shapes.  Plans are reused
+across chase rounds, Datalog iterations, saturation and containment
+checks.  Cache traffic is visible in ``--stats`` output as
+``plan.cache_hits`` / ``plan.compile_calls`` (exact-pattern misses) /
+``plan.codegen`` (generated executors).
 
 Candidate selection probes the relation's hash bucket at every bound
 position of an atom and scans the *smallest* bucket, verifying the
@@ -42,14 +56,16 @@ The built-in ``ACDom`` relation compiles to dedicated step kinds: a
 sorted active domain (:meth:`repro.core.database.Database.acdom_sorted`)
 when it is still free.  A malformed ``ACDom`` atom compiles to a step
 that raises when (and only when) the search reaches it, matching the
-interpreter's laziness.
+interpreter's laziness; such an atom also enters the shape key
+verbatim, since the error message names it.
 
-Two assignment executors are generated per plan: a *fast* one and an
+Two assignment executors are generated per shape: a *fast* one and an
 *instrumented* one that accumulates ``homomorphism.match_calls`` /
 ``homomorphism.backtracks`` for the observability layer; the dispatcher
 picks per call based on whether instrumentation is active.  The Datalog
 engine additionally compiles *rule executors* that stage encoded head
-rows instead of yielding assignments (:func:`derive_rule_rows`).
+rows instead of yielding assignments (:func:`derive_rule_rows`); head
+constants are lifted into the same constant tuple.
 """
 
 from __future__ import annotations
@@ -90,31 +106,35 @@ class _Step:
         "kind",
         "atom",
         "relation_key",
-        "const_items",   # ((position, term), ...) — constants and nulls
+        "const_items",   # ((position, constant index), ...) — constants and nulls
         "bound_items",   # ((position, slot), ...) — bound by earlier steps
         "bind_items",    # ((position, slot), ...) — first occurrence: bind
         "check_items",   # ((position, slot), ...) — repeat within this atom
         "acdom_slot",    # slot of the ACDom variable (enum/check), or None
-        "acdom_term",    # fixed ACDom term (check with constant/null), or None
+        "acdom_const",   # constant index of a fixed ACDom term (check), or None
     )
 
     def __init__(self, kind: int, atom: Atom) -> None:
         self.kind = kind
+        # Only the relation key and, for a malformed ACDom step, the
+        # rendering are read; both are fixed by the shape.
         self.atom = atom
         self.relation_key = atom.relation_key
-        self.const_items: tuple[tuple[int, Term], ...] = ()
+        self.const_items: tuple[tuple[int, int], ...] = ()
         self.bound_items: tuple[tuple[int, int], ...] = ()
         self.bind_items: tuple[tuple[int, int], ...] = ()
         self.check_items: tuple[tuple[int, int], ...] = ()
         self.acdom_slot: Optional[int] = None
-        self.acdom_term: Optional[Term] = None
+        self.acdom_const: Optional[int] = None
 
 
-class JoinPlan:
-    """A compiled pattern: static order, slot layout, per-atom templates."""
+class _Shape:
+    """Everything patterns with one constant-lifted shape share: the
+    static order, the slot layout, the per-atom templates (constants as
+    indices into the caller's constant tuple) and the generated
+    executors."""
 
     __slots__ = (
-        "atoms",
         "order",
         "steps",
         "n_slots",
@@ -124,15 +144,15 @@ class JoinPlan:
         "adornment",
         "has_extras",
         "forced_index",
-        "_assign_fn",
-        "_assign_instr_fn",
-        "_row_fns",
-        "_source",
+        "assign_fn",
+        "assign_instr_fn",
+        #: (lifted heads, all_rows) -> compiled row-emitting rule executor.
+        "row_fns",
+        "source",
     )
 
     def __init__(
         self,
-        atoms: tuple[Atom, ...],
         order: tuple[int, ...],
         steps: tuple[_Step, ...],
         n_slots: int,
@@ -143,7 +163,6 @@ class JoinPlan:
         has_extras: bool,
         forced_index: Optional[int],
     ) -> None:
-        self.atoms = atoms
         self.order = order
         self.steps = steps
         self.n_slots = n_slots
@@ -153,24 +172,57 @@ class JoinPlan:
         self.adornment = adornment
         self.has_extras = has_extras
         self.forced_index = forced_index
-        self._assign_fn = None
-        self._assign_instr_fn = None
-        #: head-tuple -> compiled row-emitting rule executor.
-        self._row_fns = None
-        self._source = None
+        self.assign_fn = None
+        self.assign_instr_fn = None
+        self.row_fns: dict[tuple, object] = {}
+        self.source: Optional[str] = None
+
+
+class JoinPlan:
+    """A compiled pattern: its constants bound to a shared :class:`_Shape`."""
+
+    __slots__ = ("atoms", "consts", "shape", "_rows")
+
+    def __init__(
+        self, atoms: tuple[Atom, ...], consts: tuple[Term, ...], shape: _Shape
+    ) -> None:
+        self.atoms = atoms
+        #: The pattern's distinct constants, in first-occurrence order.
+        self.consts = consts
+        self.shape = shape
+        #: (heads, all_rows) -> (row executor, constant tuple with heads').
+        self._rows: Optional[dict[tuple, tuple]] = None
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        return self.shape.order
+
+    @property
+    def pattern_vars(self) -> frozenset[Variable]:
+        return self.shape.pattern_vars
+
+    @property
+    def adornment(self) -> frozenset[Variable]:
+        return self.shape.adornment
+
+    @property
+    def has_extras(self) -> bool:
+        return self.shape.has_extras
 
     def source(self) -> str:
         """The source of the assignment executor that :func:`execute_plan`
         runs uninstrumented — debugging aid."""
-        if self._source is None:
-            _generate(self, instrumented=False)
-        return self._source
+        if self.shape.source is None:
+            _generate(self.shape, instrumented=False)
+        return self.shape.source
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        shape = self.shape
         return (
-            f"JoinPlan(atoms={len(self.atoms)}, order={self.order}, "
-            f"slots={self.n_slots}, adorned={sorted(v.name for v in self.adornment)}, "
-            f"forced={self.forced_index})"
+            f"JoinPlan(atoms={len(self.atoms)}, order={shape.order}, "
+            f"slots={shape.n_slots}, consts={len(self.consts)}, "
+            f"adorned={sorted(v.name for v in shape.adornment)}, "
+            f"forced={shape.forced_index})"
         )
 
 
@@ -222,18 +274,70 @@ def static_order(
     return tuple(order)
 
 
+def _lift_atoms(
+    atoms: Iterable[Atom], const_index: dict[Term, int], consts: list[Term]
+) -> tuple:
+    """The constant-lifted key of ``atoms``: each non-variable term becomes
+    its index in ``consts``, extending ``const_index``/``consts`` with
+    constants not seen yet."""
+    lifted = []
+    for atom in atoms:
+        parts: list = []
+        for term in atom.all_terms:
+            if isinstance(term, Variable):
+                parts.append(term)
+                continue
+            index = const_index.get(term)
+            if index is None:
+                index = const_index[term] = len(consts)
+                consts.append(term)
+            parts.append(index)
+        lifted.append((atom.relation_key, tuple(parts)))
+    return tuple(lifted)
+
+
+def _lift(
+    atoms: tuple[Atom, ...], forced_index: Optional[int]
+) -> tuple[tuple, tuple[Term, ...]]:
+    """A pattern's constant-lifted key and its constant tuple.
+
+    The step of an unforced malformed ``ACDom`` atom raises an error that
+    names the atom, so such atoms also enter the key verbatim."""
+    consts: list[Term] = []
+    lifted = _lift_atoms(atoms, {}, consts)
+    malformed = tuple(
+        atom
+        for idx, atom in enumerate(atoms)
+        if idx != forced_index and _is_malformed_acdom(atom)
+    )
+    return (lifted, malformed), tuple(consts)
+
+
 def compile_plan(
     pattern: Sequence[Atom],
     adornment: Iterable[Variable] = (),
     forced_index: Optional[int] = None,
 ) -> JoinPlan:
-    """Compile ``pattern`` into a :class:`JoinPlan`.
+    """Compile ``pattern`` into a :class:`JoinPlan` with a fresh shape.
 
     ``adornment`` names the variables that arrive pre-bound (the keys of a
     ``partial=`` seed); variables not occurring in the pattern are
     ignored.  ``forced_index`` pins that pattern atom to the front of the
     order (delta pinning)."""
     atoms = tuple(pattern)
+    _, consts = _lift(atoms, forced_index)
+    return JoinPlan(atoms, consts, _compile_shape(atoms, consts, adornment, forced_index))
+
+
+def _compile_shape(
+    atoms: tuple[Atom, ...],
+    consts: tuple[Term, ...],
+    adornment: Iterable[Variable],
+    forced_index: Optional[int],
+) -> _Shape:
+    """The shared part of :func:`compile_plan`; ``consts`` is the
+    pattern's constant tuple from :func:`_lift`."""
+    const_index = {term: index for index, term in enumerate(consts)}
     pattern_vars: set[Variable] = set()
     for atom in atoms:
         pattern_vars |= atom.variables()
@@ -253,17 +357,17 @@ def compile_plan(
             # A *forced* ACDom atom unifies literally against the supplied
             # facts (as the interpreter does); only unforced occurrences
             # compile to virtual active-domain steps.
-            steps.append(_compile_acdom_step(atom, slot_of))
+            steps.append(_compile_acdom_step(atom, slot_of, const_index))
             continue
         step = _Step(_FORCED if is_forced else _ATOM, atom)
-        const_items: list[tuple[int, Term]] = []
+        const_items: list[tuple[int, int]] = []
         bound_items: list[tuple[int, int]] = []
         bind_items: list[tuple[int, int]] = []
         check_items: list[tuple[int, int]] = []
         bound_here: set[Variable] = set()
         for position, term in enumerate(atom.all_terms):
             if not isinstance(term, Variable):
-                const_items.append((position, term))
+                const_items.append((position, const_index[term]))
             elif term in bound_here:
                 check_items.append((position, slot_of[term]))
             elif term in slot_of:
@@ -288,8 +392,7 @@ def compile_plan(
     # through into every result; whether any can exist is known from the
     # adornment key set, so the generated code only merges when needed.
     has_extras = any(v not in pattern_vars for v in adornment)
-    return JoinPlan(
-        atoms=atoms,
+    return _Shape(
         order=order,
         steps=tuple(steps),
         n_slots=len(slot_of),
@@ -302,8 +405,14 @@ def compile_plan(
     )
 
 
-def _compile_acdom_step(atom: Atom, slot_of: dict[Variable, int]) -> _Step:
-    if len(atom.args) != 1 or atom.annotation:
+def _is_malformed_acdom(atom: Atom) -> bool:
+    return _is_acdom(atom) and (len(atom.args) != 1 or bool(atom.annotation))
+
+
+def _compile_acdom_step(
+    atom: Atom, slot_of: dict[Variable, int], const_index: Mapping[Term, int]
+) -> _Step:
+    if _is_malformed_acdom(atom):
         # The interpreter only rejects a malformed ACDom atom when the
         # search actually reaches it; reproduce that laziness so patterns
         # that die earlier behave identically.
@@ -319,21 +428,22 @@ def _compile_acdom_step(atom: Atom, slot_of: dict[Variable, int]) -> _Step:
         step.acdom_slot = slot
         return step
     step = _Step(_ACDOM_CHECK, atom)
-    step.acdom_term = term
+    step.acdom_const = const_index[term]
     return step
 
 
 # ----------------------------------------------------------------------
 # plan cache
 # ----------------------------------------------------------------------
-# The cache is a true LRU: dicts preserve insertion order, so recency is
-# maintained by re-inserting on every hit and evicting from the front.
-# A long-lived server process (repro.service) leans on this — the old
-# clear-everything overflow policy would periodically discard every warm
-# plan at once and re-pay full compilation for the entire working set.
+# Both tables are true LRUs: dicts preserve insertion order, so recency
+# is maintained by re-inserting on every hit and evicting from the
+# front.  A long-lived server process (repro.service) leans on this —
+# a clear-everything overflow policy would periodically discard every
+# warm plan at once and re-pay full compilation for the working set.
 _PLAN_CACHE: dict[tuple, JoinPlan] = {}
+_SHAPE_CACHE: dict[tuple, _Shape] = {}
 _PLAN_CACHE_CAP = 4096
-_stats = {"hits": 0, "misses": 0, "evictions": 0}
+_stats = {"hits": 0, "misses": 0, "evictions": 0, "codegen": 0}
 
 
 def cached_plan(
@@ -345,7 +455,10 @@ def cached_plan(
 
     The cache key uses the caller's ``partial`` key set verbatim (its
     intersection with the pattern variables is computed at compile time),
-    so repeated call sites hit without recomputing pattern variables."""
+    so repeated call sites hit without recomputing pattern variables.  A
+    miss lifts the pattern's constants and binds them to the shape of
+    every pattern that differs from it only in its constants, compiling
+    the shape only when none has been seen."""
     key = (atoms, adornment_key, forced_index)
     plan = _PLAN_CACHE.get(key)
     obs = _obs_current()
@@ -359,40 +472,54 @@ def cached_plan(
     _stats["misses"] += 1
     if obs is not None:
         obs.inc("plan.compile_calls")
-    plan = compile_plan(atoms, adornment_key, forced_index)
-    while len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
-        _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-        _stats["evictions"] += 1
-        if obs is not None:
-            obs.inc("plan.cache_evictions")
+    lifted, consts = _lift(atoms, forced_index)
+    shape_key = (lifted, adornment_key, forced_index)
+    shape = _SHAPE_CACHE.pop(shape_key, None)
+    if shape is None:
+        shape = _compile_shape(atoms, consts, adornment_key, forced_index)
+        while len(_SHAPE_CACHE) >= _PLAN_CACHE_CAP:
+            _SHAPE_CACHE.pop(next(iter(_SHAPE_CACHE)))
+    _SHAPE_CACHE[shape_key] = shape
+    plan = JoinPlan(atoms, consts, shape)
+    _evict_plans(_PLAN_CACHE_CAP - 1, obs)
     _PLAN_CACHE[key] = plan
     return plan
 
 
+def _evict_plans(keep: int, obs) -> None:
+    """Drop least recently used exact-pattern plans down to ``keep``."""
+    while len(_PLAN_CACHE) > keep:
+        _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
+        _stats["evictions"] += 1
+        if obs is not None:
+            obs.inc("plan.cache_evictions")
+
+
 def plan_cache_stats() -> dict[str, int]:
-    """Lifetime cache counters (process-global)."""
+    """Lifetime cache counters (process-global).
+
+    ``hits``/``misses``/``evictions`` count exact-pattern lookups and
+    ``size`` is that table's; ``codegen`` counts generated executors."""
     return {"size": len(_PLAN_CACHE), "capacity": _PLAN_CACHE_CAP, **_stats}
 
 
 def set_plan_cache_capacity(capacity: int) -> int:
-    """Change the LRU capacity (evicting immediately if shrinking);
-    returns the previous capacity.  Used by tests and server tuning."""
+    """Change the LRU capacity of both plan tables (evicting immediately
+    if shrinking); returns the previous capacity."""
     global _PLAN_CACHE_CAP
     if capacity < 1:
         raise ValueError("plan cache capacity must be >= 1")
     previous = _PLAN_CACHE_CAP
     _PLAN_CACHE_CAP = capacity
-    obs = _obs_current()
-    while len(_PLAN_CACHE) > _PLAN_CACHE_CAP:
-        _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-        _stats["evictions"] += 1
-        if obs is not None:
-            obs.inc("plan.cache_evictions")
+    _evict_plans(capacity, _obs_current())
+    while len(_SHAPE_CACHE) > capacity:
+        _SHAPE_CACHE.pop(next(iter(_SHAPE_CACHE)))
     return previous
 
 
 def clear_plan_cache() -> None:
     _PLAN_CACHE.clear()
+    _SHAPE_CACHE.clear()
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +527,8 @@ def clear_plan_cache() -> None:
 # ----------------------------------------------------------------------
 class _Emitter:
     """Source-line accumulator with indent tracking and an interned
-    environment of objects the generated code closes over (relation keys,
-    pattern constants, output variables)."""
+    environment of the shape-level objects the generated code closes
+    over (relation keys, output variables, error messages)."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
@@ -427,73 +554,80 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _compile_fn(plan: JoinPlan, e: _Emitter, instrumented: bool, store: bool = True):
+def _compile_fn(shape: _Shape, e: _Emitter, instrumented: bool, store: bool = True):
     source = e.source()
     namespace = dict(e.env)
-    code = compile(source, f"<joinplan:{len(plan.atoms)} atoms>", "exec")
+    code = compile(source, f"<joinplan:{len(shape.steps)} atoms>", "exec")
     exec(code, namespace)  # noqa: S102 - source is generated, not user input
+    _stats["codegen"] += 1
+    obs = _obs_current()
+    if obs is not None:
+        obs.inc("plan.codegen")
     fn = namespace["_plan_fn"]
     if not store:
         return fn
     if instrumented:
-        plan._assign_instr_fn = fn
+        shape.assign_instr_fn = fn
     else:
-        plan._assign_fn = fn
-        plan._source = source
+        shape.assign_fn = fn
+        shape.source = source
     return fn
 
 
 def _generate(
-    plan: JoinPlan,
+    shape: _Shape,
     instrumented: bool,
-    heads: Optional[tuple[Atom, ...]] = None,
+    heads: Optional[tuple] = None,
     all_rows: bool = False,
 ):
-    """Emit, compile and return the executor for ``plan``.
+    """Emit, compile and return the executor for ``shape``.
 
     The generated function is a Python generator: one nested ``for`` per
     ordered pattern atom, slot bindings as loop-local variables, a single
-    ``yield`` at the innermost level.  Unification runs entirely in ID
-    space: pattern constants and adorned bindings resolve to int IDs once
-    in the prelude (an absent term resolves to the sentinel ``-1``, which
-    no fact cell ever holds, so the search fails at exactly the step
-    where no fact could match), candidate selection probes the
-    relations' lazily built hash buckets, joins compare ints read
-    straight out of the column vectors, and IDs decode back to terms
-    only at the final ``yield``.  Forced facts arrive as pre-encoded ID
-    rows (see :func:`_encode_forced`).  The instrumented variant
-    additionally accumulates match/backtrack counters and flushes them
-    to the active observability runtime in a ``finally``.
+    ``yield`` at the innermost level.  Its last parameter ``K`` is the
+    caller's constant tuple; the source only ever names constants by
+    their index in it.  Unification runs entirely in ID space: constants
+    and adorned bindings resolve to int IDs once in the prelude (an
+    absent term resolves to the sentinel ``-1``, which no fact cell ever
+    holds, so the search fails at exactly the step where no fact could
+    match), candidate selection probes the relations' lazily built hash
+    buckets, joins compare ints read straight out of the column vectors,
+    and IDs decode back to terms only at the final ``yield``.  Forced
+    facts arrive as pre-encoded ID rows (see :func:`_encode_forced`).
+    The instrumented variant additionally accumulates match/backtrack
+    counters and flushes them to the active observability runtime in a
+    ``finally``.
 
-    With ``heads`` the generator becomes a *rule executor*: instead of
-    decoding assignments, each match appends the encoded head rows
-    (skipping rows already in the database) into a per-relation staging
-    set — nothing is boxed at all.  Used by the Datalog engine's
-    fixpoint loop (see :func:`derive_rule_rows`); requires an unadorned
-    plan and no instrumentation.  ``all_rows`` drops the existing-row
-    skip so *every* derived head row is staged, present or not — the
-    incremental engine's overdelete/affected-row discovery needs head
-    rows that are already (or still) in the model (see
-    :func:`derive_rule_rows_all`).
+    With ``heads`` — lifted head atoms, ``(relation key, terms)`` pairs
+    whose terms are variables or constant indices — the generator
+    becomes a *rule executor*: instead of decoding assignments, each
+    match appends the encoded head rows (skipping rows already in the
+    database) into a per-relation staging set — nothing is boxed at all.
+    Used by the Datalog engine's fixpoint loop (see
+    :func:`derive_rule_rows`); requires an unadorned plan and no
+    instrumentation.  ``all_rows`` drops the existing-row skip so *every*
+    derived head row is staged, present or not — the incremental
+    engine's overdelete/affected-row discovery needs head rows that are
+    already (or still) in the model (see :func:`derive_rule_rows_all`).
     """
     e = _Emitter()
-    steps = plan.steps
+    steps = shape.steps
     if heads is not None:
-        assert not instrumented and not plan.adorned_slots
-        e.emit("def _plan_fn(database, forced_rows, out):")
+        assert not instrumented and not shape.adorned_slots
+        e.emit("def _plan_fn(database, forced_rows, out, K):")
     elif instrumented:
-        e.emit("def _plan_fn(database, forced_rows, base, partial, obs):")
+        e.emit("def _plan_fn(database, forced_rows, base, partial, K, obs):")
     else:
-        e.emit("def _plan_fn(database, forced_rows, base, partial):")
+        e.emit("def _plan_fn(database, forced_rows, base, partial, K):")
     e.indent += 1
 
     def emit_heads_prelude(slot_of: Mapping[Variable, int]):
         """Resolve head relations/constants; returns per-head emitters."""
         e.emit("SI = database._symtab.intern")
-        head_ids: dict[Term, str] = {}
+        interned: set[int] = set()
         emissions: list[tuple[str, str]] = []
-        for j, atom in enumerate(heads):
-            key = e.ref(atom.relation_key, "HK")
+        for j, (relation_key, terms) in enumerate(heads):
+            key = e.ref(relation_key, "HK")
             if not all_rows:
                 e.emit(f"RS{j} = database._existing_rows({key})")
             e.emit(f"O{j} = out.get({key})")
@@ -503,16 +637,14 @@ def _generate(
             e.indent -= 1
             e.emit(f"A{j} = O{j}.add")
             parts = []
-            for term in atom.all_terms:
+            for term in terms:
                 if isinstance(term, Variable):
                     parts.append(f"s{slot_of[term]}")
-                else:
-                    name = head_ids.get(term)
-                    if name is None:
-                        name = f"h{len(head_ids)}"
-                        head_ids[term] = name
-                        e.emit(f"{name} = SI({e.ref(term, 'HT')})")
-                    parts.append(name)
+                    continue
+                if term not in interned:
+                    interned.add(term)
+                    e.emit(f"h{term} = SI(K[{term}])")
+                parts.append(f"h{term}")
             row = f"({', '.join(parts)},)" if parts else "()"
             emissions.append((f"RS{j}", row))
         return emissions
@@ -530,7 +662,7 @@ def _generate(
             emit_head_rows(emit_heads_prelude({}))
         else:
             e.emit("yield dict(base)")
-        return _compile_fn(plan, e, instrumented, store=heads is None)
+        return _compile_fn(shape, e, instrumented, store=heads is None)
 
     # Generation truncates at a malformed-ACDom step (it raises when and
     # only when the search reaches it); only earlier steps need prelude
@@ -543,7 +675,7 @@ def _generate(
     kinds = {step.kind for _, step in active}
 
     e.emit("S = database._symtab._ids")
-    if heads is None and plan.out_items:
+    if heads is None and shape.out_items:
         e.emit("TT = database._symtab._terms")
     if _ATOM in kinds:
         e.emit("RELS = database._relations")
@@ -554,22 +686,19 @@ def _generate(
     if _ACDOM_CHECK in kinds:
         e.emit("ACS = database._acdom_id_set()")
 
-    id_names: dict[Term, str] = {}
+    resolved: set[int] = set()
 
-    def term_id(term: Term) -> str:
-        name = id_names.get(term)
-        if name is None:
-            name = f"c{len(id_names)}"
-            id_names[term] = name
-            e.emit(f"{name} = S.get({e.ref(term, 'T')}, -1)")
-        return name
+    def resolve(index: int) -> None:
+        if index not in resolved:
+            resolved.add(index)
+            e.emit(f"c{index} = S.get(K[{index}], -1)")
 
     for _, step in active:
-        for _, term in step.const_items:
-            term_id(term)
-        if step.kind == _ACDOM_CHECK and step.acdom_term is not None:
-            term_id(step.acdom_term)
-    for variable, slot in plan.adorned_slots:
+        for _, index in step.const_items:
+            resolve(index)
+        if step.kind == _ACDOM_CHECK and step.acdom_const is not None:
+            resolve(step.acdom_const)
+    for variable, slot in shape.adorned_slots:
         e.emit(f"s{slot} = S.get(partial[{e.ref(variable, 'V')}], -1)")
 
     # Per-step index/column prelude.  Every name is assigned on both
@@ -579,7 +708,7 @@ def _generate(
         if step.kind != _ATOM:
             continue
         items = [
-            (position, id_names[term]) for position, term in step.const_items
+            (position, f"c{index}") for position, index in step.const_items
         ] + [(position, f"s{slot}") for position, slot in step.bound_items]
         step_items[i] = items
         bucket_positions = sorted({position for position, _ in items})
@@ -617,7 +746,7 @@ def _generate(
         e.indent -= 1
 
     head_emissions = (
-        emit_heads_prelude(dict(plan.out_items)) if heads is not None else None
+        emit_heads_prelude(dict(shape.out_items)) if heads is not None else None
     )
 
     if instrumented:
@@ -645,8 +774,8 @@ def _generate(
             continue
         if step.kind == _ACDOM_CHECK:
             value = (
-                id_names[step.acdom_term]
-                if step.acdom_term is not None
+                f"c{step.acdom_const}"
+                if step.acdom_const is not None
                 else f"s{step.acdom_slot}"
             )
             e.emit(f"if {value} not in ACS: {guard_bt}{fail}")
@@ -660,8 +789,8 @@ def _generate(
             e.emit(f"for r{i} in forced_rows:")
             loop_indents.append(e.indent)
             e.indent += 1
-            for position, term in step.const_items:
-                e.emit(f"if r{i}[{position}] != {id_names[term]}: continue")
+            for position, index in step.const_items:
+                e.emit(f"if r{i}[{position}] != c{index}: continue")
             for position, slot in step.bound_items:
                 e.emit(f"if r{i}[{position}] != s{slot}: continue")
             for position, slot in step.bind_items:
@@ -711,9 +840,9 @@ def _generate(
         else:
             entries = ", ".join(
                 f"{e.ref(variable, 'V')}: TT[s{slot}]"
-                for variable, slot in plan.out_items
+                for variable, slot in shape.out_items
             )
-            if plan.has_extras:
+            if shape.has_extras:
                 e.emit(f"yield {{**base, {entries}}}")
             else:
                 e.emit(f"yield {{{entries}}}")
@@ -731,10 +860,10 @@ def _generate(
         e.emit("if _b:")
         e.indent += 1
         e.emit("obs.inc('homomorphism.backtracks', _b)")
-    return _compile_fn(plan, e, instrumented, store=heads is None)
+    return _compile_fn(shape, e, instrumented, store=heads is None)
 
 
-def _encode_forced(plan: JoinPlan, database: Database, forced_facts) -> list:
+def _encode_forced(shape: _Shape, database: Database, forced_facts) -> list:
     """Normalize a forced-facts payload into encoded ID rows.
 
     Accepts :class:`~repro.core.store.ColumnDelta` blocks (the Datalog
@@ -745,7 +874,7 @@ def _encode_forced(plan: JoinPlan, database: Database, forced_facts) -> list:
     """
     if forced_facts is None:
         return []
-    key = plan.steps[0].relation_key
+    key = shape.steps[0].relation_key
     intern = database._symtab.intern
     rows: list[tuple[int, ...]] = []
     for item in forced_facts:
@@ -770,8 +899,9 @@ def derive_rule_rows(
     stages every head row not already present into ``out`` (a mapping
     from relation key to a set of encoded rows) — no assignment dicts,
     no :class:`Atom` boxing.  ``forced`` is ``None`` for the initial
-    round or ``(body_index, delta_blocks)`` for semi-naive iteration;
-    the compiled executor is cached on the plan keyed by the head tuple.
+    round or ``(body_index, delta_blocks)`` for semi-naive iteration.
+    The executor is generated once per lifted ``(body, heads)`` shape and
+    bound to this rule's constants on the plan, keyed by the head tuple.
     """
     _derive_rows(body, heads, database, forced, out, all_rows=False)
 
@@ -795,28 +925,45 @@ def derive_rule_rows_all(
     _derive_rows(body, heads, database, forced, out, all_rows=True)
 
 
+_NO_KEYS: frozenset = frozenset()
+
+
 def _derive_rows(body, heads, database, forced, out, all_rows: bool) -> None:
     atoms = tuple(body)
     if forced is not None:
         index, candidates = forced
-        plan = cached_plan(atoms, frozenset(), index)
-        rows = _encode_forced(plan, database, candidates)
+        plan = cached_plan(atoms, _NO_KEYS, index)
+        rows = _encode_forced(plan.shape, database, candidates)
         if not rows:
             return
     else:
-        plan = cached_plan(atoms, frozenset(), None)
+        plan = cached_plan(atoms, _NO_KEYS, None)
         rows = ()
-    head_key = tuple(heads)
-    fns = plan._row_fns
-    if fns is None:
-        fns = plan._row_fns = {}
-    cache_key = (head_key, "all") if all_rows else head_key
-    fn = fns.get(cache_key)
+    bound = plan._rows
+    if bound is None:
+        bound = plan._rows = {}
+    cache_key = (tuple(heads), all_rows)
+    entry = bound.get(cache_key)
+    if entry is None:
+        entry = bound[cache_key] = _bind_rows(plan, cache_key[0], all_rows)
+    fn, consts = entry
+    fn(database, rows, out, consts)
+
+
+def _bind_rows(plan: JoinPlan, heads: tuple[Atom, ...], all_rows: bool) -> tuple:
+    """The row executor for ``plan`` firing into ``heads``, with the
+    constant tuple it runs on: the body's constants, then the heads'."""
+    consts = list(plan.consts)
+    const_index = {term: index for index, term in enumerate(consts)}
+    lifted = _lift_atoms(heads, const_index, consts)
+    shape = plan.shape
+    key = (lifted, all_rows)
+    fn = shape.row_fns.get(key)
     if fn is None:
-        fn = fns[cache_key] = _generate(
-            plan, False, heads=head_key, all_rows=all_rows
+        fn = shape.row_fns[key] = _generate(
+            shape, False, heads=lifted, all_rows=all_rows
         )
-    fn(database, rows, out)
+    return fn, tuple(consts)
 
 
 # ----------------------------------------------------------------------
@@ -835,21 +982,22 @@ def execute_plan(
     every produced assignment, as in the interpreter.  ``forced_facts``
     supplies the candidate facts for a delta-pinned plan.
     """
+    shape = plan.shape
     base: Assignment = {}
-    if partial and (plan.has_extras or not plan.steps):
-        pattern_vars = plan.pattern_vars
+    if partial and (shape.has_extras or not shape.steps):
+        pattern_vars = shape.pattern_vars
         for variable, value in partial.items():
             if variable not in pattern_vars:
                 base[variable] = value
     obs = _obs_current()
-    if plan.forced_index is not None:
-        forced_facts = _encode_forced(plan, database, forced_facts)
+    if shape.forced_index is not None:
+        forced_facts = _encode_forced(shape, database, forced_facts)
     if obs is None:
-        fn = plan._assign_fn
+        fn = shape.assign_fn
         if fn is None:
-            fn = _generate(plan, instrumented=False)
-        return fn(database, forced_facts, base, partial)
-    fn = plan._assign_instr_fn
+            fn = _generate(shape, instrumented=False)
+        return fn(database, forced_facts, base, partial, plan.consts)
+    fn = shape.assign_instr_fn
     if fn is None:
-        fn = _generate(plan, instrumented=True)
-    return fn(database, forced_facts, base, partial, obs)
+        fn = _generate(shape, instrumented=True)
+    return fn(database, forced_facts, base, partial, plan.consts, obs)

@@ -220,6 +220,7 @@ def _run_job_inner(registry: TheoryRegistry, job: dict, *, allow_faults: bool) -
             "plan_cache_hits": plan_after["hits"] - plan_before["hits"],
             "plan_compile_calls": plan_after["misses"] - plan_before["misses"],
             "plan_cache_evictions": plan_after["evictions"] - plan_before["evictions"],
+            "plan_codegen": plan_after["codegen"] - plan_before["codegen"],
             "materializations": registry_after["materializations"]
             - registry_before["materializations"],
             "snapshot_loads": registry_after["snapshot_loads"]

@@ -81,6 +81,7 @@ _WORKER_STAT_KEYS = (
     "plan_cache_hits",
     "plan_compile_calls",
     "plan_cache_evictions",
+    "plan_codegen",
     "materializations",
     "snapshot_loads",
     "snapshot_saves",

@@ -29,6 +29,9 @@ Implementation notes:
   bound to universal variables of the first premise in all possible ways —
   a sound superset of the paper's reading that keeps the calculus complete
   without a global standardization convention.
+* The goal-directed fixpoint is delta-driven: only contexts that are new
+  or grew are reprocessed, and composition candidates come from an index
+  of Datalog rules by body relation (see :func:`_saturate_goal_directed`).
 * A configurable budget aborts pathological closures with
   :class:`SaturationBudget` (the translation is inherently worst-case
   double exponential, Section 6)."""
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from ..core.atoms import Atom
-from ..core.rules import Rule, canonical_rule_key
+from ..core.rules import Rule, RuleError, canonical_rule_key
 from ..core.terms import Term, Variable
 from ..core.theory import Theory
 from ..guardedness.classify import is_guarded_rule, is_nearly_guarded
@@ -136,7 +139,7 @@ def _merge_variables(rule: Rule) -> Iterator[Rule]:
         mapping = {source: target}
         try:
             yield rule.substitute(mapping)
-        except Exception:
+        except RuleError:
             continue
 
 
@@ -186,17 +189,18 @@ def _match_into_head(
             yield dict(assignment) if extension is None else extension
 
 
-def _compose(
+def _compositions(
     first: Rule,
     datalog: Rule,
     max_leftover: int = 3,
     require_evar_contact: bool = False,
-) -> Iterator[Rule]:
-    """Inference rule 2 (guarded composition).
+) -> Iterator[tuple[list[Atom], list[Atom]]]:
+    """Inference rule 2 (guarded composition), as ``(h(γ1), h(δ))`` pairs.
 
     Splits the Datalog premise's body into a part ``γ2`` homomorphically
     mapped into ``head(first)`` and a deferred part ``γ1`` whose image must
-    live on ``vars(first.body)``.
+    live on ``vars(first.body)``; the conclusion is
+    ``body(first) ∧ h(γ1) → head(first) ∧ h(δ)``.
 
     With ``require_evar_contact`` only compositions whose homomorphism
     touches an existential variable of the first premise are produced:
@@ -205,12 +209,6 @@ def _compose(
     are redundant for ``dat(Σ)`` — this is the goal-directed pruning."""
     first_uvars = first.uvars()
     alpha_vars = sorted(first_uvars, key=lambda v: v.name)
-    if not alpha_vars and any(
-        isinstance(t, Variable) for atom in datalog.positive_body() for t in atom.args
-    ):
-        # γ1 variables would have nowhere to map; γ2-only splits may still
-        # work, handled below by the general search.
-        pass
     targets = _head_atoms_as_targets(first)
     body = datalog.positive_body()
     if require_evar_contact and not any(
@@ -268,13 +266,25 @@ def _compose(
                 for term in atom.variables()
             ):
                 continue
-            delta = [atom.substitute(mapping) for atom in datalog.head]
-            new_body = _dedup_body(tuple(first.positive_body()) + tuple(gamma1))
-            new_head = _dedup_head(tuple(first.head) + tuple(delta))
-            try:
-                yield Rule(new_body, new_head, first.exist_vars)
-            except Exception:
-                continue
+            yield gamma1, [atom.substitute(mapping) for atom in datalog.head]
+
+
+def _compose(
+    first: Rule,
+    datalog: Rule,
+    max_leftover: int = 3,
+    require_evar_contact: bool = False,
+) -> Iterator[Rule]:
+    """The conclusions of :func:`_compositions` as rules."""
+    for gamma1, delta in _compositions(
+        first, datalog, max_leftover, require_evar_contact
+    ):
+        new_body = _dedup_body(tuple(first.positive_body()) + tuple(gamma1))
+        new_head = _dedup_head(tuple(first.head) + tuple(delta))
+        try:
+            yield Rule(new_body, new_head, first.exist_vars)
+        except RuleError:
+            continue
 
 
 @dataclass
@@ -444,9 +454,6 @@ class _Context:
     _cached_rule: Optional[Rule] = None
     _cached_head_size: int = -1
 
-    def key(self) -> tuple:
-        return (self.base, self.body, self.evars)
-
     def to_rule(self) -> Rule:
         # The head only ever grows (monotone accumulation), so its size
         # identifies the materialized rule; body/evars are immutable.
@@ -458,16 +465,46 @@ class _Context:
         return self._cached_rule
 
 
+class _RuleIndex:
+    """Datalog rules by body relation, as positions in the rule pool.
+
+    A rule can only compose into a context whose head shares one of its
+    body relations (see :func:`_compositions`), so a context's composition
+    candidates are the union of its head relations' position lists."""
+
+    def __init__(self) -> None:
+        self.by_relation: dict[tuple, list[int]] = {}
+
+    def add(self, position: int, rule: Rule) -> None:
+        for key in {atom.relation_key for atom in rule.positive_body()}:
+            self.by_relation.setdefault(key, []).append(position)
+
+    def candidates(self, relation_keys: Iterable[tuple]) -> list[int]:
+        found: set[int] = set()
+        for key in relation_keys:
+            found.update(self.by_relation.get(key, ()))
+        return sorted(found)
+
+
 @dataclass
 class SaturationSnapshot:
-    """Checkpoint of a goal-directed saturation: the context table, the
-    Datalog pool, and the progress counters.  Because the closure is a
-    monotone fixpoint, resuming from this state and running to quiescence
-    yields the same closure as an uninterrupted run."""
+    """Checkpoint of a goal-directed saturation.
+
+    Besides the context table and the Datalog pool it carries the delta
+    frontier: the ``worklist`` of contexts that are new or grew since
+    they were last processed (the first ``round_left`` of them belong to
+    the round in progress), and ``indexed``, how many pool rules are in
+    the relation index — the rest were projected in the last round and
+    have not yet been composed into the settled contexts.  Cuts happen
+    only where this state is exact, so resuming continues the very same
+    derivation sequence as an uninterrupted run."""
 
     contexts: list[tuple[int, frozenset[Atom], tuple[Variable, ...], frozenset[Atom]]]
     datalog_rules: list[Rule]
     datalog_keys: set[tuple]
+    worklist: list[tuple]
+    round_left: int
+    indexed: int
     derived: int
     iterations: int
 
@@ -479,16 +516,37 @@ def _saturate_goal_directed(
     governor: Optional[ResourceGovernor] = None,
     snapshot: Optional[SaturationSnapshot] = None,
 ) -> Outcome[SaturationResult]:
+    """The delta-driven context fixpoint.
+
+    Each round first composes the Datalog rules projected in the previous
+    round into the *settled* contexts (those not on the worklist), then
+    indexes them; the worklist contexts are then merged (rule 3),
+    composed with their index candidates (rule 2) and projected (rule 1).
+    Any addition queues work for the next round — a new or grown context
+    joins the worklist, a projected rule waits to be indexed — so the
+    last round adds nothing.  The governor ticks once per settled
+    context in the first phase and once per worklist context in the
+    second: re-running a settled context's composition after a cut adds
+    nothing, and a worklist context is only dequeued after its tick."""
     datalog = _Closure()
     contexts: dict[tuple, _Context] = {}
+    worklist: dict[tuple, None] = {}
+    round_left = 0
+    indexed = 0
     derived = 0
     iterations = 0
+    index = _RuleIndex()
 
     if snapshot is not None:
         datalog.rules = list(snapshot.datalog_rules)
         datalog.keys = set(snapshot.datalog_keys)
         for base, body, evars, head in snapshot.contexts:
             contexts[(base, body, evars)] = _Context(base, body, evars, set(head))
+        worklist = dict.fromkeys(snapshot.worklist)
+        round_left = snapshot.round_left
+        indexed = snapshot.indexed
+        for position in range(indexed):
+            index.add(position, datalog.rules[position])
         derived = snapshot.derived
         iterations = snapshot.iterations
 
@@ -503,7 +561,9 @@ def _saturate_goal_directed(
         body: frozenset[Atom],
         evars: tuple[Variable, ...],
         head_atoms: Iterable[Atom],
-    ) -> bool:
+    ) -> None:
+        """Create or grow a context; either queues it on the worklist."""
+        nonlocal derived
         key = (base, body, evars)
         context = contexts.get(key)
         if context is None:
@@ -512,13 +572,65 @@ def _saturate_goal_directed(
             if len(contexts) + len(datalog.rules) + 1 > max_rules:
                 raise _Exhausted("max_rules")
             contexts[key] = _Context(base, body, evars, set(head_atoms))
-            return True
-        before = len(context.head)
-        context.head |= set(head_atoms)
-        return len(context.head) != before
+        else:
+            before = len(context.head)
+            context.head |= set(head_atoms)
+            if len(context.head) == before:
+                return
+        worklist[key] = None
+        derived += 1
+
+    def compose_into(context: _Context, rule_index: _RuleIndex) -> None:
+        """Rule 2: compose the index's candidate rules into ``context``."""
+        # The conclusion of (γ1, δ) is body ∧ γ1 → head ∧ δ; its rule
+        # checks cannot fail (γ1 lives on the body's variables, δ on the
+        # head's), so no Rule is built.
+        premise = context.to_rule()
+        for position in rule_index.candidates(_head_atoms_as_targets(premise)):
+            for gamma1, delta in _compositions(
+                premise, datalog.rules[position], require_evar_contact=True
+            ):
+                add_context(
+                    context.base,
+                    context.body.union(gamma1),
+                    context.evars,
+                    premise.head + tuple(delta),
+                )
+
+    def process(context: _Context) -> None:
+        nonlocal derived
+        # Rule 3: merges of body variables, creating sibling contexts.
+        body_vars = sorted(
+            {v for atom in context.body for v in atom.variables()},
+            key=lambda v: v.name,
+        )
+        for source, target in itertools.permutations(body_vars, 2):
+            mapping = {source: target}
+            add_context(
+                context.base,
+                frozenset(atom.substitute(mapping) for atom in context.body),
+                context.evars,
+                [atom.substitute(mapping) for atom in context.head],
+            )
+        # Rule 2: compose every indexed Datalog rule that can reach the head.
+        compose_into(context, index)
+        # Rule 1: project existential-free head atoms into the Datalog pool.
+        premise = context.to_rule()
+        evar_set = set(context.evars)
+        for atom in premise.head:
+            if atom.variables() & evar_set:
+                continue
+            projected = Rule(premise.body, (atom,))
+            if len(contexts) + len(datalog.rules) + 1 > max_rules:
+                if canonical_rule_key(_normalize_rule(projected)) in datalog.keys:
+                    continue
+                raise _Exhausted("max_rules")
+            if datalog.add(projected):
+                derived += 1
 
     obs = _obs_current()
     exhausted: Optional[str] = None
+    round_start = derived
     try:
         if snapshot is None:
             if theory is None:
@@ -536,64 +648,40 @@ def _saturate_goal_directed(
                         normalized.head,
                     )
                     base_index += 1
+            derived = round_start = 0  # the input contexts are not derived
 
-        changed = True
-        while changed:
-            changed = False
+        while worklist or indexed < len(datalog.rules):
+            if round_left == 0:
+                # Last round's projections meet the settled contexts; the
+                # worklist ones see them through the index below.
+                fresh = _RuleIndex()
+                for position in range(indexed, len(datalog.rules)):
+                    fresh.add(position, datalog.rules[position])
+                for key, context in list(contexts.items()):
+                    if key not in worklist:
+                        tick()
+                        compose_into(context, fresh)
+                for position in range(indexed, len(datalog.rules)):
+                    index.add(position, datalog.rules[position])
+                indexed = len(datalog.rules)
+                round_left = len(worklist)
+            while round_left:
+                tick()
+                key = next(iter(worklist))
+                del worklist[key]
+                round_left -= 1
+                try:
+                    process(contexts[key])
+                except _Exhausted:
+                    # Budget cut mid-context: requeue it in front so a
+                    # resumed run processes it again from the start.
+                    worklist = {key: None, **worklist}
+                    round_left += 1
+                    raise
             iterations += 1
-            derived_before = derived
-            # Rule 3: merges of body variables, creating sibling contexts.
-            for context in list(contexts.values()):
-                tick()
-                body_vars = sorted(
-                    {v for atom in context.body for v in atom.variables()},
-                    key=lambda v: v.name,
-                )
-                for source, target in itertools.permutations(body_vars, 2):
-                    mapping = {source: target}
-                    merged_body = frozenset(
-                        atom.substitute(mapping) for atom in context.body
-                    )
-                    merged_head = [
-                        atom.substitute(mapping) for atom in context.head
-                    ]
-                    if add_context(
-                        context.base, merged_body, context.evars, merged_head
-                    ):
-                        derived += 1
-                        changed = True
-            # Rule 2: compose every Datalog rule into every context head.
-            for context in list(contexts.values()):
-                premise = context.to_rule()
-                for second in list(datalog.rules):
-                    tick()
-                    for conclusion in _compose(
-                        premise, second, require_evar_contact=True
-                    ):
-                        new_body = frozenset(conclusion.positive_body())
-                        if add_context(
-                            context.base, new_body, context.evars, conclusion.head
-                        ):
-                            derived += 1
-                            changed = True
-            # Rule 1: project existential-free head atoms into the Datalog pool.
-            for context in list(contexts.values()):
-                tick()
-                evar_set = set(context.evars)
-                body = _dedup_body(context.body)
-                for atom in context.head:
-                    if atom.variables() & evar_set:
-                        continue
-                    projected = Rule(body, (atom,))
-                    if len(contexts) + len(datalog.rules) + 1 > max_rules:
-                        if canonical_rule_key(_normalize_rule(projected)) in datalog.keys:
-                            continue
-                        raise _Exhausted("max_rules")
-                    if datalog.add(projected):
-                        derived += 1
-                        changed = True
             if obs is not None:
-                obs.observe("saturation_rules_added", derived - derived_before)
+                obs.observe("saturation_rules_added", derived - round_start)
+            round_start = derived
     except _Exhausted as exc:
         exhausted = exc.reason
 
@@ -617,6 +705,9 @@ def _saturate_goal_directed(
             ],
             datalog_rules=list(datalog.rules),
             datalog_keys=set(datalog.keys),
+            worklist=list(worklist),
+            round_left=round_left,
+            indexed=indexed,
             derived=derived,
             iterations=iterations,
         )

@@ -189,8 +189,12 @@ class TestPlanCache:
         with instrumented() as instr:
             list(homomorphisms(pattern, db))
             list(homomorphisms(pattern, db))
-        assert instr.metrics.counter("plan.compile_calls") == 1
+            list(homomorphisms((Atom("E", (X, Y)), Atom("E", (Y, B))), db))
+            # same shape, another constant: a miss, but no new executor
+            list(homomorphisms((Atom("E", (X, Y)), Atom("E", (Y, A))), db))
+        assert instr.metrics.counter("plan.compile_calls") == 3
         assert instr.metrics.counter("plan.cache_hits") == 1
+        assert instr.metrics.counter("plan.codegen") == 2
 
     def test_reuse_across_databases(self):
         pattern = (Atom("E", (X, Y)),)

@@ -3,8 +3,9 @@
 The contract under test: cutting a run at an arbitrary point and
 resuming from its snapshot yields the same final result as never having
 been interrupted — exactly equal for the chase (the snapshot preserves
-the pending trigger order and the null counter), and equal-as-closure
-for saturation (monotone fixpoint)."""
+the pending trigger order and the null counter), and for saturation
+equal as a closure (monotone fixpoint) and, under governor cuts, exactly
+(the snapshot preserves the worklist and the indexed-rule count)."""
 
 import random
 
@@ -21,11 +22,14 @@ from repro.chase.runner import (
     resume_chase,
 )
 from repro.core.parser import parse_database, parse_theory
+from repro.core.rules import canonical_rule_key
 from repro.robustness import ResourceGovernor
 from repro.translate.saturation import (
     resume_saturation,
     try_saturate,
 )
+
+from .test_saturation_golden import case
 
 LOOP = parse_theory("E(x,y) -> exists z. E(y,z)")
 LOOP_DB = parse_database("E(a,b).")
@@ -171,6 +175,40 @@ class TestSaturationResume:
             rng, signature, n_rules=4, existential_probability=0.7
         )
         self._check_resume(theory)
+
+    @pytest.mark.parametrize(
+        "name, stride", [("example7", 1), ("section7_chain3", 11)]
+    )
+    def test_cuts_inside_the_worklist_resume_exactly(self, name, stride):
+        """Governor cuts across the whole run — every tick of Example 7,
+        every ``stride``-th of the chain-3 grounded Section 7 theory —
+        many of them between worklist contexts: the resumed closure,
+        ``dat``, ``derived_rules`` and round count equal the
+        uninterrupted run's."""
+        theory = case(name)
+        counter = ResourceGovernor()
+        reference = try_saturate(theory, governor=counter)
+        assert reference.complete
+
+        def keys(result):
+            return (
+                {canonical_rule_key(rule) for rule in result.closure},
+                {canonical_rule_key(rule) for rule in result.datalog},
+            )
+
+        inside = 0
+        for cut_at in range(1, counter.ticks, stride):
+            cut = try_saturate(
+                theory, governor=ResourceGovernor(max_ticks=cut_at)
+            )
+            assert not cut.complete
+            inside += cut.snapshot.round_left > 0
+            resumed = resume_saturation(cut.snapshot)
+            assert resumed.complete, resumed.exhausted
+            assert keys(resumed.value) == keys(reference.value)
+            assert resumed.value.derived_rules == reference.value.derived_rules
+            assert resumed.value.iterations == reference.value.iterations
+        assert inside > 0
 
     def test_resume_under_budget_can_exhaust_again(self):
         theory = parse_theory(
