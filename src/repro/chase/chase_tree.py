@@ -25,7 +25,7 @@ from ..guardedness.classify import is_frontier_guarded_rule
 from ..guardedness.normalize import is_normal
 from ..robustness.errors import InvalidTheoryError
 from ..robustness.governor import ResourceGovernor, resolve_governor
-from .runner import ChaseBudget, _Engine
+from .runner import ChaseBudget, _TriggerLoop
 
 __all__ = [
     "ChaseTreeNode",
@@ -166,7 +166,7 @@ def build_chase_tree(
             root_atoms.add(rule.head[0])
 
     tree = ChaseTree(root_atoms)
-    engine = _Engine(
+    engine = _TriggerLoop(
         theory,
         database,
         policy="oblivious",

@@ -13,6 +13,7 @@ from repro.chase import (
     chase,
     entails,
 )
+from repro.chase.runner import resume_chase
 
 PUBLICATION_THEORY = """
 Publication(x) -> exists k1, k2. Keywords(x, k1, k2)
@@ -101,6 +102,50 @@ class TestOblivousVsRestricted:
         assert database_homomorphism(left, right) is not None
 
 
+class TestDatalogFirstRestricted:
+    """The restricted policy runs each round's existential-free rules to
+    a fixpoint before one pass of existential triggers."""
+
+    def test_publication_figures(self):
+        result = chase(
+            parse_theory(PUBLICATION_THEORY),
+            parse_database(PUBLICATION_DATA),
+            policy=RESTRICTED,
+        )
+        assert result.complete
+        assert (result.steps, result.nulls_created, result.rounds) == (7, 4, 2)
+        assert len(result.database) == 15
+        # Round 1: Q(a1) from the data, then both Publication triggers;
+        # round 2: the four facts the new keywords lead to.
+        assert [
+            (r.triggers_enumerated, r.triggers_fired, r.atoms_added)
+            for r in result.stats.rounds
+        ] == [(2, 3, 3), (0, 4, 4)]
+        assert result.stats.triggers_fired == result.steps
+
+    def test_steps_count_datalog_facts(self):
+        theory = parse_theory("E(x,y) -> A(x), B(y)")
+        result = chase(theory, parse_database("E(a,b). E(a,c)."), policy=RESTRICTED)
+        # three new facts, A(a) derived twice
+        assert result.steps == 3 == len(result.database) - 2
+
+    def test_triggers_deduplicated_by_frontier_image(self):
+        theory = parse_theory("E(x,y) -> exists z. M(y,z)")
+        db = parse_database("E(a,c). E(b,c).")
+        restricted = chase(theory, db, policy=RESTRICTED)
+        assert restricted.nulls_created == 1
+        assert restricted.stats.triggers_enumerated == 1
+        assert chase(theory, db, policy=OBLIVIOUS).nulls_created == 2
+
+    def test_check_sees_datalog_consequences(self):
+        # R(a,a) comes from the Datalog rule before the existential pass,
+        # so the restricted check finds the head of the first rule
+        # satisfied and invents nothing.
+        theory = parse_theory("P(x) -> exists y. R(x,y)\nP(x) -> R(x,x)")
+        result = chase(theory, parse_database("P(a)."), policy=RESTRICTED)
+        assert result.nulls_created == 0 and result.rounds == 1
+
+
 class TestUniversality:
     def test_chase_maps_into_any_solution(self):
         theory = parse_theory("P(x) -> exists y. R(x,y)\nR(x,y) -> S(y)")
@@ -132,6 +177,37 @@ class TestBudgets:
             theory, parse_database("P(a)."), budget=ChaseBudget(max_nulls=5)
         )
         assert result.truncated_reason == "max_nulls"
+
+    @pytest.mark.parametrize(
+        "policy, rules, rounds",
+        [
+            (OBLIVIOUS, "E(x,y) -> T(x,y)\nE(x,y), T(y,z) -> T(x,z)", 3),
+            (RESTRICTED, "E(x,y) -> T(x,y)\nE(x,y), T(y,z) -> T(x,z)", 1),
+            (RESTRICTED, "E(x,y) -> exists z. R(y,z)", 1),
+        ],
+    )
+    def test_max_rounds_does_not_cut_a_finished_chase(self, policy, rules, rounds):
+        theory = parse_theory(rules)
+        db = parse_database("E(a,b). E(b,c). E(c,d).")
+        reference = chase(theory, db, policy=policy)
+        assert reference.complete and reference.rounds == rounds
+        result = chase(
+            theory, db, policy=policy, budget=ChaseBudget(max_rounds=rounds)
+        )
+        assert result.complete and result.truncated_reason is None
+        assert set(result.database) == set(reference.database)
+
+    @pytest.mark.parametrize("policy", [OBLIVIOUS, RESTRICTED])
+    def test_max_rounds_cuts_when_another_round_has_work(self, policy):
+        theory = parse_theory("P(x) -> exists y. R(x,y)\nR(x,y) -> S(y)")
+        db = parse_database("P(a).")
+        reference = chase(theory, db, policy=policy)
+        assert reference.rounds == 2
+        cut = chase(theory, db, policy=policy, budget=ChaseBudget(max_rounds=1))
+        assert cut.truncated_reason == "max_rounds" and cut.rounds == 1
+        resumed = resume_chase(cut.snapshot, budget=ChaseBudget())
+        assert resumed.complete and resumed.rounds == 2
+        assert set(resumed.database) == set(reference.database)
 
     def test_null_depth_tracking(self):
         theory = parse_theory("P(x) -> exists y. Q(y)\nQ(x) -> exists y. S(y)")

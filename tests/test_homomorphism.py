@@ -13,6 +13,7 @@ from repro.core.homomorphism import (
     satisfies_rule,
 )
 from repro.core.parser import parse_database, parse_rule
+from repro.core.plan import MAX_COMPILED_ATOMS
 from repro.core.terms import Constant, Null, Variable
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -53,6 +54,21 @@ class TestBasicMatching:
             homomorphisms([Atom("E", (X, Y))], self.db, partial={X: B})
         )
         assert len(homs) == 1 and homs[0][Y] == C
+
+    def test_pattern_longer_than_the_compile_limit(self):
+        # One nested loop per atom would pass Python's limit of 20
+        # statically nested blocks; such patterns take the interpreter.
+        n = MAX_COMPILED_ATOMS + 6
+        db = Database(
+            Atom("E", (Constant(f"c{i}"), Constant(f"c{i + 1}")))
+            for i in range(n)
+        )
+        path = [Atom("E", (Variable(f"v{i}"), Variable(f"v{i + 1}"))) for i in range(n)]
+        (hom,) = homomorphisms(path, db)
+        assert hom[Variable(f"v{n}")] == Constant(f"c{n}")
+        nulls = Database(Atom("E", (Null(f"n{i}"), Null(f"n{i + 1}"))) for i in range(n))
+        assert databases_homomorphically_equivalent(nulls, db) is False
+        assert database_homomorphism(nulls, db) is not None
 
     def test_first_homomorphism_none(self):
         assert first_homomorphism([Atom("Z", (X,))], self.db) is None

@@ -231,6 +231,20 @@ class TestChaseCounters:
         assert instr.metrics.series["chase.delta_size"] == [3, 2, 1, 1]
         assert len(result.database) == 15
 
+    def test_restricted_counts_each_atom_once(self):
+        theory = parse_theory(PUBLICATION_THEORY)
+        database = parse_database(PUBLICATION_DATA)
+        with instrumented() as instr:
+            result = chase(theory, database, policy="restricted")
+        counters = instr.metrics.counters
+        # Datalog facts are steps: 3 in round 1 (Q(a1) and two existential
+        # triggers), 4 in round 2; the Datalog loop counts its own facts.
+        assert counters["triggers_fired"] == result.steps == 7
+        assert counters["atoms_derived"] == 7
+        assert counters["chase.triggers_enumerated"] == 2
+        assert counters["chase.rounds"] == result.rounds == 2
+        assert instr.metrics.series["chase.delta_size"] == [3, 4]
+
     def test_chase_span_recorded(self):
         theory = parse_theory(TC_THEORY)
         database = parse_database(TC_DATA)

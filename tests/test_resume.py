@@ -17,22 +17,45 @@ from repro.bench.generators import (
     random_signature,
 )
 from repro.chase.runner import (
+    DATALOG_PHASE,
+    EXISTENTIAL_PHASE,
+    OBLIVIOUS,
+    RESTRICTED,
+    SKOLEM,
     ChaseBudget,
     chase,
     resume_chase,
 )
+from repro.core.homomorphism import databases_homomorphically_equivalent
 from repro.core.parser import parse_database, parse_theory
 from repro.core.rules import canonical_rule_key
 from repro.robustness import ResourceGovernor
+from repro.robustness.faults import probe
 from repro.translate.saturation import (
     resume_saturation,
     try_saturate,
 )
 
+from .test_chase import PUBLICATION_DATA, PUBLICATION_THEORY
 from .test_saturation_golden import case
 
 LOOP = parse_theory("E(x,y) -> exists z. E(y,z)")
 LOOP_DB = parse_database("E(a,b).")
+
+#: The weakly guarded exemplar of the ``chase_materialize`` benchmark
+#: workload: three existential-free rules and one existential rule.
+WG_THEORY = parse_theory(
+    """
+    E(x,y) -> T(x,y)
+    E(x,y), T(y,z) -> T(x,z)
+    T(x,y) -> exists w. M(y, w)
+    M(y,w), T(x,y) -> Reach(x)
+    """
+)
+#: A fixed 8-node graph: a 4-cycle, a tail leaving it, and one chord.
+WG_DB = parse_database(
+    "E(a,b). E(b,c). E(c,d). E(d,a). E(d,e). E(e,f). E(f,g). E(g,h). E(b,f)."
+)
 
 
 def _assert_same_result(reference, resumed):
@@ -124,6 +147,105 @@ class TestChaseResume:
         assert not cut.complete
         resumed = resume_chase(cut.snapshot, budget=budget)
         _assert_same_result(reference, resumed)
+
+
+def _round_totals(result):
+    stats = result.stats
+    return (
+        stats.triggers_enumerated,
+        stats.triggers_fired,
+        stats.atoms_added,
+        sum(entry.nulls_created for entry in stats.rounds),
+    )
+
+
+class TestRestrictedResume:
+    """The Datalog-first restricted loop stops at Datalog iterations and
+    at existential triggers; a resume from any of those points replays
+    the rest of the uninterrupted run exactly."""
+
+    @pytest.mark.parametrize(
+        "theory, database",
+        [
+            (WG_THEORY, WG_DB),
+            (parse_theory(PUBLICATION_THEORY), parse_database(PUBLICATION_DATA)),
+        ],
+        ids=["wg_exemplar", "publication"],
+    )
+    def test_cut_at_every_tick_resumes_exactly(self, theory, database):
+        def run(governor=None):
+            return chase(theory, database, policy=RESTRICTED, governor=governor)
+
+        reference = run()
+        assert reference.complete
+        ticks = probe(run)
+        phases = set()
+        for cut_at in range(ticks):
+            cut = run(ResourceGovernor(max_ticks=cut_at))
+            assert cut.truncated_reason == "max_ticks"
+            phases.add(cut.snapshot.phase)
+            resumed = resume_chase(cut.snapshot)
+            _assert_same_result(reference, resumed)
+            assert resumed.rounds == reference.rounds
+            assert _round_totals(resumed) == _round_totals(reference)
+        assert phases == {DATALOG_PHASE, EXISTENTIAL_PHASE}
+
+    def test_max_steps_cut_inside_a_datalog_phase(self):
+        budget = ChaseBudget(max_steps=10_000)
+        reference = chase(WG_THEORY, WG_DB, policy=RESTRICTED, budget=budget)
+        cut = chase(
+            WG_THEORY, WG_DB, policy=RESTRICTED, budget=ChaseBudget(max_steps=5)
+        )
+        assert cut.truncated_reason == "max_steps"
+        assert cut.snapshot.phase == DATALOG_PHASE
+        assert cut.snapshot.datalog_delta
+        # A Datalog iteration is atomic: the first one copies all nine
+        # edges into T, overshooting the budget by four facts.
+        assert cut.steps == len(WG_DB)
+        resumed = resume_chase(cut.snapshot, budget=budget)
+        _assert_same_result(reference, resumed)
+        assert resumed.rounds == reference.rounds
+        assert _round_totals(resumed) == _round_totals(reference)
+
+
+class TestDepthResume:
+    """A trigger skipped for ``max_depth`` is carried in the snapshot and
+    retried by a resume under a larger bound."""
+
+    THEORY = parse_theory(
+        "P(x) -> exists y. R(x,y)\n"
+        "R(x,y) -> exists z. S(y,z)\n"
+        "S(y,z) -> Q(z)\n"
+    )
+
+    @pytest.mark.parametrize("policy", [OBLIVIOUS, SKOLEM, RESTRICTED])
+    def test_resume_with_a_larger_depth_completes(self, policy):
+        database = parse_database("P(a).")
+        reference = chase(self.THEORY, database, policy=policy)
+        cut = chase(
+            self.THEORY, database, policy=policy,
+            budget=ChaseBudget(max_depth=1),
+        )
+        assert not cut.complete and cut.truncated_reason == "max_depth"
+        assert cut.snapshot.deferred
+        resumed = resume_chase(cut.snapshot, budget=ChaseBudget())
+        assert resumed.complete
+        assert {atom.relation for atom in resumed.database} == {"P", "R", "S", "Q"}
+        assert databases_homomorphically_equivalent(
+            resumed.database, reference.database
+        )
+        assert (
+            resumed.database.ground_atoms() == reference.database.ground_atoms()
+        )
+
+    def test_resume_under_the_same_depth_stays_cut(self):
+        database = parse_database("P(a).")
+        budget = ChaseBudget(max_depth=1)
+        cut = chase(self.THEORY, database, policy=RESTRICTED, budget=budget)
+        again = resume_chase(cut.snapshot, budget=budget)
+        assert again.truncated_reason == "max_depth"
+        assert set(again.database) == set(cut.database)
+        assert again.snapshot.deferred
 
 
 class TestSaturationResume:

@@ -25,6 +25,10 @@ LOOPING = (
     "E2(x,y), E2(u,v) -> H(y,v)\n"
     "H(y,v) -> Q(y)"
 )
+#: Lifts the server's default 100,000-step chase budget on LOOPING
+#: queries so that only their deadline stops them: the restricted chase
+#: reaches 100,000 steps of LOOPING in about 0.2 s.
+UNBOUNDED_STEPS = 10**9
 
 
 def free_port() -> int:
@@ -79,6 +83,7 @@ def test_serve_end_to_end(served):
             theory_text=LOOPING,
             database="P(a).",
             timeout=0.2,
+            max_steps=UNBOUNDED_STEPS,
             strategy="chase",
         )
         # A per-request deadline is an Outcome-style partial, not an error.
@@ -202,7 +207,8 @@ def test_sigterm_drain_completes_in_flight_work():
             with ServiceClient("127.0.0.1", port, timeout=120) as client:
                 results["query"] = client.query(
                     "Q", theory_text=LOOPING, database="P(a).",
-                    timeout=1.5, strategy="chase", request_id="drain-q",
+                    timeout=1.5, max_steps=UNBOUNDED_STEPS, strategy="chase",
+                    request_id="drain-q",
                 )
 
         def register():

@@ -24,6 +24,10 @@ LOOPING = (
     "E2(x,y), E2(u,v) -> H(y,v)\n"
     "H(y,v) -> Q(y)"
 )
+#: Lifts the server's default 100,000-step chase budget on LOOPING
+#: queries so that only their deadline stops them: the restricted chase
+#: reaches 100,000 steps of LOOPING in about 0.2 s.
+UNBOUNDED_STEPS = 10**9
 T_ANSWERS = [["a", "b"], ["a", "c"], ["b", "c"]]
 
 
@@ -107,7 +111,7 @@ class TestQueryPlane:
                     port,
                     {"op": "query", "output": "Q", "theory": reg["theory"],
                      "database": "P(a).", "timeout": 0.2,
-                     "strategy": "chase"},
+                     "max_steps": UNBOUNDED_STEPS, "strategy": "chase"},
                 )
                 assert by_hash["ok"]
                 assert by_hash["complete"] is False
@@ -179,7 +183,8 @@ class TestAdmissionControl:
                         port,
                         {"op": "query", "output": "Q",
                          "theory_text": LOOPING, "database": "P(a).",
-                         "timeout": 2.0, "strategy": "chase"},
+                         "timeout": 2.0, "max_steps": UNBOUNDED_STEPS,
+                         "strategy": "chase"},
                     )
                 )
                 await asyncio.sleep(0.3)
@@ -208,7 +213,7 @@ class TestAdmissionControl:
                     port,
                     {"op": "query", "output": "Q", "theory_text": LOOPING,
                      "database": "P(a).", "timeout": 1.5,
-                     "strategy": "chase"},
+                     "max_steps": UNBOUNDED_STEPS, "strategy": "chase"},
                 )
             )
             await asyncio.sleep(0.3)
