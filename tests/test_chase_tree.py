@@ -5,6 +5,7 @@ import pytest
 from repro.core import parse_database, parse_theory
 from repro.core.terms import Constant
 from repro.chase import build_chase_tree, tree_decomposition, verify_proposition2
+from repro.chase.runner import ChaseBudget
 from repro.guardedness import normalize
 
 PUBLICATION_THEORY = """
@@ -129,3 +130,16 @@ class TestFactsInRoot:
         database = parse_database("hasTopic(p, t0).")
         tree, _ = build_chase_tree(theory, database)
         assert Constant("t0") in tree.root.terms()
+
+
+class TestBudgets:
+    def test_max_depth_stops_an_infinite_chase(self):
+        # The chase of E(a,b) is an infinite E-path.  The trigger skipped
+        # for depth must not come back in every later round.
+        theory = parse_theory("E(x,y) -> exists z. E(y,z)")
+        database = parse_database("E(a,b).")
+        tree, chased = build_chase_tree(
+            theory, database, budget=ChaseBudget(max_depth=1)
+        )
+        assert len(chased) == 2
+        assert len(tree.all_atoms()) == 2

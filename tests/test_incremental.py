@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import Database
 from repro.core.parser import parse_atom, parse_database, parse_theory
+from repro.core.plan import MAX_COMPILED_ATOMS
 from repro.core.terms import Constant
 from repro.chase.runner import ChaseBudget, chase
 from repro.datalog.engine import evaluate
@@ -43,6 +44,32 @@ def fresh_eval(program, edb):
     return model_atoms(evaluate(program, parse_database(
         "\n".join(f"{atom}." for atom in sorted(edb))
     )))
+
+
+class TestLongRuleBodies:
+    def test_body_longer_than_the_compile_limit(self):
+        # The body is too long for a generated executor, so it runs on
+        # the interpreter in insert propagation, overdeletion and the
+        # support recount alike.
+        n = MAX_COMPILED_ATOMS + 6
+        body = ", ".join(f"e(v{i}, v{i + 1})" for i in range(n))
+        program = parse_theory(f"{body} -> p(v0, v{n})")
+        edb = set(atoms(*(f"e(c{i}, c{i + 1})" for i in range(n))))
+        live = LiveModel(program, parse_database(
+            "\n".join(f"{atom}." for atom in sorted(edb))
+        ))
+        assert live.mode == "counting"
+        assert live.answers("p") == {(Constant("c0"), Constant(f"c{n}"))}
+        inserted = atoms(f"e(c{n}, c{n + 1})")
+        live.apply(inserts=inserted)
+        edb.update(inserted)
+        assert model_atoms(live.model) == fresh_eval(program, edb)
+        assert len(live.answers("p")) == 2
+        retracted = atoms("e(c0, c1)")
+        live.apply(retracts=retracted)
+        edb.difference_update(retracted)
+        assert model_atoms(live.model) == fresh_eval(program, edb)
+        assert live.answers("p") == {(Constant("c1"), Constant(f"c{n + 1}"))}
 
 
 class TestCountingInsert:
