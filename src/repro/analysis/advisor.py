@@ -1,16 +1,16 @@
-"""Strategy advisor — predictive engine selection for the service.
+"""Strategy advisor — predictive engine selection.
 
-The registry's ``auto`` strategy used to *react* to translation blowups
-(translate first, fall back when ``max_rules`` explodes).  The advisor
-turns that decision predictive: it climbs the acyclicity ladder
-(weak ⊂ joint ⊂ super-weak ⊂ MFA, see ``chase/termination.py``), prices
-the chase on weakly acyclic theories via the position-graph cost
-estimator, and emits a :class:`StrategyAdvice` that
-``service.registry._pick_strategy`` consumes *before* any translation is
-attempted.  The verdict is sound in the never-overclaims direction: a
-``terminates=True`` advice certifies restricted/skolem chase
-termination on **every** database, so routing such theories straight to
-the chase can never trade completeness away.
+The advisor climbs the acyclicity ladder (weak ⊂ joint ⊂ super-weak ⊂
+MFA, see ``chase/termination.py``), prices the chase on weakly acyclic
+theories via the position-graph cost estimator, and emits a
+:class:`StrategyAdvice` whose ``recommended`` strategy is what
+:func:`repro.translate.pipeline.plan_answering` runs for ``auto`` —
+before any translation is attempted.  This module holds the only copy
+of that strategy ladder; the CLI, the library and the service all
+answer through the planner.  The verdict is sound in the
+never-overclaims direction: a ``terminates=True`` advice certifies
+restricted/skolem chase termination on **every** database, so routing
+such theories straight to the chase can never trade completeness away.
 
 Every run is traced as an ``analysis.advisor`` span (with ``ladder``,
 ``estimate``, and ``mfa`` sub-spans) and counted under
@@ -112,8 +112,8 @@ def advise(
 
     Climbs the acyclicity ladder lazily (each rung only when every
     weaker one failed), so the common weakly acyclic case never pays for
-    the critical-instance chase.  The returned recommendation mirrors
-    the registry's ``auto`` dispatch; ``labels`` can be passed in when
+    the critical-instance chase.  The returned recommendation is the
+    planner's ``auto`` strategy; ``labels`` can be passed in when
     classification already ran (the registry does)."""
     with span("analysis.advisor", rules=len(theory)):
         if labels is None:

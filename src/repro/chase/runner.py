@@ -64,7 +64,7 @@ from ..core.homomorphism import extends_to_head, homomorphisms
 from ..core.rules import Rule
 from ..core.terms import Constant, Null, Term, Variable
 from ..core.theory import Query, Theory
-from ..datalog.engine import derivations, seminaive, would_derive
+from ..datalog.engine import answers_in, derivations, seminaive, would_derive
 from ..obs.runtime import current as _obs_current
 from ..robustness.errors import (
     InvalidRequestError,
@@ -86,6 +86,7 @@ __all__ = [
     "entails",
     "certain_answers",
     "try_certain_answers",
+    "answers_in",
     "OBLIVIOUS",
     "RESTRICTED",
     "SKOLEM",
@@ -1122,15 +1123,3 @@ def certain_answers(
             reason, f"chase truncated ({reason}); answers unreliable", outcome
         )
     return outcome.value
-
-
-def answers_in(database: Database, output: str) -> set[tuple[Constant, ...]]:
-    """Extract all-constant ``output`` tuples from a database."""
-    tuples: set[tuple[Constant, ...]] = set()
-    for key in database.relations():
-        if key[0] != output:
-            continue
-        for atom in database.atoms_for(key):
-            if all(isinstance(term, Constant) for term in atom.args):
-                tuples.add(tuple(atom.args))  # type: ignore[arg-type]
-    return tuples

@@ -51,7 +51,7 @@ from .analysis import (
     advise,
     analyze_text,
 )
-from .chase.runner import ChaseBudget, chase, try_certain_answers
+from .chase.runner import ChaseBudget, chase
 from .chase.termination import (
     chase_terminates,
     find_joint_cycle,
@@ -62,7 +62,7 @@ from .chase.termination import (
 )
 from .core.database import Database
 from .core.parser import ParseError, parse_database, parse_theory, render_theory
-from .core.theory import Query, Theory
+from .core.theory import Theory
 from .guardedness.classify import classify
 from .guardedness.normalize import normalize
 from .obs import JsonLinesSink, instrumented
@@ -70,7 +70,7 @@ from .robustness.errors import BudgetExceeded, Cancelled, InternalError, ReproEr
 from .robustness.governor import ResourceGovernor, governed
 from .translate.annotations import rewrite_weakly_frontier_guarded
 from .translate.expansion import rewrite_frontier_guarded
-from .translate.pipeline import answer_query
+from .translate.pipeline import plan_answering
 from .translate.saturation import guarded_to_datalog, nearly_guarded_to_datalog
 
 __all__ = [
@@ -171,21 +171,17 @@ def _print_answers(answers) -> None:
 def _cmd_answer(args: argparse.Namespace) -> int:
     theory = _load_theory(args.theory)
     database = _load_database(args.database)
-    query = Query(theory, args.output)
-    budget = _budget_from_args(args)
-    if args.strategy == "chase":
-        outcome = try_certain_answers(query, database, budget=budget)
-        _print_answers(outcome.value)
-        if not outcome.complete:
-            print(
-                f"# exhausted ({outcome.exhausted}): answers are sound "
-                "but may be incomplete",
-                file=sys.stderr,
-            )
-            return EXIT_EXHAUSTED
-        return EXIT_OK
-    answers = answer_query(query, database, budget=budget)
-    _print_answers(answers)
+    outcome = plan_answering(theory, args.strategy).answer(
+        database, args.output, budget=_budget_from_args(args)
+    )
+    _print_answers(outcome.value)
+    if not outcome.complete:
+        print(
+            f"# exhausted ({outcome.exhausted}): answers are sound "
+            "but may be incomplete",
+            file=sys.stderr,
+        )
+        return EXIT_EXHAUSTED
     return EXIT_OK
 
 
@@ -620,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output relation name")
     p.add_argument(
         "--strategy", choices=("auto", "chase"), default="auto",
-        help="auto = dispatch on guardedness class (Section 7 pipeline etc.)",
+        help="auto = the strategy advisor's choice (see 'repro advise'); "
+        "chase = the budgeted restricted chase",
     )
     _add_budget_flags(p)
     p.set_defaults(handler=_cmd_answer)

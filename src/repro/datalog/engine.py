@@ -42,7 +42,7 @@ from ..robustness.governor import ResourceGovernor, resolve_governor
 from ..robustness.outcome import Outcome
 from .stratification import Stratification, stratify
 
-__all__ = ["evaluate", "try_evaluate", "datalog_answers", "DatalogError"]
+__all__ = ["evaluate", "try_evaluate", "datalog_answers", "answers_in", "DatalogError"]
 
 
 class DatalogError(InvalidTheoryError):
@@ -435,12 +435,18 @@ def datalog_answers(
     governor: Optional[ResourceGovernor] = None,
 ) -> set[tuple[Constant, ...]]:
     """``ans((Σ,Q), D)`` for a Datalog query — all-constant output tuples."""
-    fixpoint = evaluate(query.theory, database, governor=governor)
-    answers: set[tuple[Constant, ...]] = set()
-    for key in fixpoint.relations():
-        if key[0] != query.output:
+    return answers_in(
+        evaluate(query.theory, database, governor=governor), query.output
+    )
+
+
+def answers_in(database: Database, output: str) -> set[tuple[Constant, ...]]:
+    """Extract all-constant ``output`` tuples from a database."""
+    tuples: set[tuple[Constant, ...]] = set()
+    for key in database.relations():
+        if key[0] != output:
             continue
-        for atom in fixpoint.atoms_for(key):
+        for atom in database.atoms_for(key):
             if all(isinstance(term, Constant) for term in atom.args):
-                answers.add(tuple(atom.args))  # type: ignore[arg-type]
-    return answers
+                tuples.add(tuple(atom.args))  # type: ignore[arg-type]
+    return tuples

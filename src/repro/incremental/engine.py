@@ -60,7 +60,7 @@ from ..chase.runner import (
     chase as run_chase,
     extend_chase,
 )
-from ..datalog.engine import evaluate
+from ..datalog.engine import answers_in, evaluate
 from ..datalog.stratification import Stratification, stratify
 from ..obs.runtime import current as _obs_current
 from ..robustness.errors import exhausted_error
@@ -148,17 +148,6 @@ def _datalog_fallback_reason(program: Theory) -> Optional[str]:
     return None
 
 
-def _model_answers(model: Database, output: str) -> set[tuple[Constant, ...]]:
-    answers: set[tuple[Constant, ...]] = set()
-    for key in model.relations():
-        if key[0] != output:
-            continue
-        for atom in model.atoms_for(key):
-            if all(isinstance(term, Constant) for term in atom.args):
-                answers.add(tuple(atom.args))  # type: ignore[arg-type]
-    return answers
-
-
 class LiveModel:
     """A Datalog fixpoint maintained under insert/retract batches.
 
@@ -230,7 +219,7 @@ class LiveModel:
     # ------------------------------------------------------------------
     def answers(self, output: str) -> set[tuple[Constant, ...]]:
         """All-constant tuples of the output relation in the model."""
-        return _model_answers(self.model, output)
+        return answers_in(self.model, output)
 
     def apply(
         self,
@@ -570,7 +559,7 @@ class RecomputeLiveModel:
         self.model = model if model is not None else materialize(self.edb)
 
     def answers(self, output: str) -> set[tuple[Constant, ...]]:
-        return _model_answers(self.model, output)
+        return answers_in(self.model, output)
 
     def apply(
         self,
@@ -656,7 +645,7 @@ class ChaseLiveModel:
         return result.database
 
     def answers(self, output: str) -> set[tuple[Constant, ...]]:
-        return _model_answers(self.model, output)
+        return answers_in(self.model, output)
 
     def apply(
         self,

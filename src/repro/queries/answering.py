@@ -8,16 +8,16 @@ pipeline, and optionally cross-check the two.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
 from ..core.database import Database
 from ..core.terms import Constant
 from ..core.theory import Theory
-from ..chase.runner import ChaseBudget, certain_answers
-from ..robustness.errors import Cancelled, DeadlineExceeded, InvalidRequestError
-from ..robustness.governor import ResourceGovernor
-from ..translate.pipeline import answer_query
+from ..chase.runner import ChaseBudget
+from ..robustness.governor import ResourceGovernor, governed
+from ..translate.pipeline import plan_answering
 from .cq import ConjunctiveQuery, knowledge_base_query
 
 __all__ = ["AnswerComparison", "answer_cq", "compare_strategies"]
@@ -46,29 +46,17 @@ def answer_cq(
 ) -> set[tuple[Constant, ...]]:
     """Certain answers of a CQ over ``(Σ, D)``.
 
-    ``strategy``: ``"chase"`` (budgeted restricted chase), ``"translate"``
-    (the class-dispatched translation pipeline), or ``"auto"`` (translate,
-    falling back to the chase if the theory defies classification).  The
-    auto fallback never swallows a deadline or cancellation: what stopped
-    the translation would equally stop the chase, so those propagate
-    immediately instead of burning the remaining wall clock twice.  A
-    blown *rule* budget in the translation still falls back — the chase
-    has its own, independent budget."""
+    ``strategy`` is passed to
+    :func:`~repro.translate.pipeline.plan_answering`: ``"auto"`` (the
+    advisor's strategy, with typed and counted fallbacks to the chase),
+    ``"chase"`` (the budgeted restricted chase) or ``"translate"`` (the
+    class route, failures propagate).  Raises the typed exhaustion error
+    when the chase is cut short."""
     query = knowledge_base_query(theory, cq)
-    if strategy == "chase":
-        return certain_answers(query, database, budget=budget, governor=governor)
-    if strategy == "translate":
-        return answer_query(query, database, budget=budget, governor=governor)
-    if strategy == "auto":
-        try:
-            return answer_query(query, database, budget=budget, governor=governor)
-        except (Cancelled, DeadlineExceeded):
-            raise
-        except Exception:
-            return certain_answers(
-                query, database, budget=budget, governor=governor
-            )
-    raise InvalidRequestError(f"unknown strategy {strategy!r}")
+    scope = governed(governor) if governor is not None else nullcontext()
+    with scope:
+        plan = plan_answering(query.theory, strategy)
+        return plan.answer(database, query.output, budget=budget).require("chase")
 
 
 def compare_strategies(

@@ -490,6 +490,10 @@ class WorkerPool:
         self._monitor.start()
 
     def _spawn_worker(self) -> int:
+        """Start one worker and publish it.  While respawns are owed the
+        worker is a replacement: it counts as a restart in the locked
+        section that publishes it, and only if it is alive, so no reader
+        sees the replacement before the count."""
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         inbox = self._ctx.Queue()
@@ -513,6 +517,9 @@ class WorkerPool:
         )
         with self._lock:
             self._workers[worker_id] = worker
+            if self._pending_respawns and process.is_alive():
+                self._pending_respawns -= 1
+                self.restarts += 1
         worker.pump.start()
         return worker_id
 
@@ -739,20 +746,16 @@ class WorkerPool:
             else:
                 backoff = 0.0
                 self.respawn_backoff_ms = 0.0
+            restarts = self.restarts
             try:
                 replacement = self._spawn_worker()
             except Exception:  # noqa: BLE001 - spawn failure: retry next sweep
                 return
-            with self._lock:
-                spawned = self._workers.get(replacement)
-                alive = spawned is not None and spawned.process.is_alive()
-            if not alive:
+            if self.restarts == restarts:
                 # Died before confirmation: the next sweep's dead-worker
                 # scan reaps it; no restart is recorded for a replacement
                 # that never served.
                 return
-            self._pending_respawns -= 1
-            self.restarts += 1
             if backoff > 0.0:
                 self.crash_loops += 1
                 self._respawn_not_before = time.monotonic() + backoff

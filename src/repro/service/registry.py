@@ -15,19 +15,18 @@ instrumentation is active):
    recorded on the artifact, and a ``strict`` registry refuses theories
    with error-level diagnostics at admission time (the service's
    "don't accept work we know is broken" gate);
-3. **classify** — the Figure 1 lattice, which picks the *answering
-   strategy* exactly as :func:`repro.translate.pipeline.answer_query`
-   would: plain Datalog, translate-to-Datalog (PTime classes), the
-   Section 7 WFG pipeline, or a budgeted restricted chase;
-4. **translate** — whatever the strategy can precompute independent of
-   the database: the Datalog program for the translate strategy, the
-   Theorem 2 rewriting for the WFG pipeline;
+3. **classify** and **advise** — the Figure 1 lattice and the strategy
+   advisor's verdict;
+4. **translate** — :func:`repro.translate.pipeline.plan_answering`
+   picks the strategy and precomputes its database-independent half:
+   the Datalog program, or the Theorem 2 rewriting for the WFG pipeline;
 5. **plan-compile** — the join plans the semi-naive engine will request
    for the translated program's rule bodies (unforced + delta-pinned),
    so the first query after registration already runs on warm plans.
 
 Per-query work (``CompiledTheory.answer``) then touches only the
-database-dependent stages.  Answers honour the ambient
+database-dependent stages, the plan's ``materialize`` and ``decode``,
+with the registry's caches around them.  Answers honour the ambient
 :class:`~repro.robustness.governor.ResourceGovernor`, so the server's
 per-request deadlines reach every engine without new plumbing.
 """
@@ -36,21 +35,18 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..analysis import Severity, StrategyAdvice, advise, analyze
-from ..chase.runner import RESTRICTED, ChaseBudget, answers_in
-from ..chase.runner import chase as run_chase
+from ..analysis import Severity, advise, analyze
+from ..chase.runner import ChaseBudget
 from ..core.database import Database
 from ..core.parser import parse_theory
 from ..core.plan import cached_plan
 from ..core.store import SnapshotError, load_snapshot, save_snapshot
 from ..core.terms import Constant
 from ..core.theory import Theory
-from ..datalog.engine import evaluate
 from ..guardedness.classify import Classification, classify
-from ..guardedness.normalize import normalize
 from ..incremental.engine import (
     ChaseLiveModel,
     LiveModel,
@@ -59,17 +55,17 @@ from ..incremental.engine import (
 )
 from ..obs.runtime import current as _obs_current
 from ..obs.runtime import span as _obs_span
-from ..robustness.errors import (
-    BudgetExceeded,
-    InvalidRequestError,
-    InvalidTheoryError,
-    TranslationError,
-)
+from ..robustness.errors import InvalidRequestError, InvalidTheoryError
 from ..robustness.outcome import Outcome
-from ..translate.annotations import WfgRewriting, rewrite_weakly_frontier_guarded
-from ..translate.expansion import rewrite_nearly_frontier_guarded
-from ..translate.grounding import partial_grounding
-from ..translate.saturation import nearly_guarded_to_datalog
+from ..translate.annotations import WfgRewriting
+from ..translate.pipeline import (
+    STRATEGY_CHASE,
+    STRATEGY_DATALOG,
+    STRATEGY_TRANSLATE,
+    STRATEGY_WFG,
+    AnsweringPlan,
+    plan_answering,
+)
 
 __all__ = [
     "STRATEGY_DATALOG",
@@ -82,16 +78,9 @@ __all__ = [
     "compile_theory",
 ]
 
-STRATEGY_DATALOG = "datalog"
-STRATEGY_TRANSLATE = "translate"
-STRATEGY_WFG = "wfg-pipeline"
-STRATEGY_CHASE = "chase"
-
-#: What a client may *request*: ``auto`` dispatches on the Figure 1
-#: class (mirroring ``answer_query``); ``chase`` forces the budgeted
-#: restricted chase — the right call for terminating-chase theories
-#: whose class-based translation is far more expensive than the data
-#: (the publication ontology is the canonical example).
+#: What a client may *request*: ``auto`` runs the advisor's strategy
+#: (``plan_answering``'s default); ``chase`` forces the budgeted
+#: restricted chase, for operators who know better than the ladder.
 REQUESTABLE_STRATEGIES = ("auto", "chase")
 
 
@@ -115,25 +104,12 @@ class CompiledTheory:
 
     content_hash: str
     text: str
-    theory: Theory
     labels: Classification
-    strategy: str
+    #: The answering plan: strategy, translated artifact, advice and
+    #: fallback reason.
+    plan: AnsweringPlan
     lint_summary: dict[str, int]
-    #: Translate/Datalog strategies: the precompiled Datalog program.
-    program: Optional[Theory] = None
-    #: WFG strategy: the Theorem 2 rewriting (database-independent half).
-    rewriting: Optional[WfgRewriting] = None
-    max_rules: int = 100_000
-    saturation_max_rules: int = 200_000
     materialization_capacity: int = 8
-    requested_strategy: str = "auto"
-    #: The strategy advisor's verdict (``StrategyAdvice.to_dict()``) —
-    #: why ``auto`` picked what it picked, kept on the artifact so the
-    #: ``/debug`` surface and registration replies can show the reasoning.
-    advice: Optional[dict] = None
-    #: True when the predictive pick failed reactively (translation
-    #: blowup) and the registry fell back to the budgeted chase.
-    advice_fallback: bool = False
     plans_compiled: int = field(default=0, compare=False)
     #: Directory of persistent materialization snapshots (``None`` off).
     snapshot_dir: Optional[str] = None
@@ -149,6 +125,31 @@ class CompiledTheory:
     _live: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
+    @property
+    def theory(self) -> Theory:
+        return self.plan.theory
+
+    @property
+    def strategy(self) -> str:
+        return self.plan.strategy
+
+    @property
+    def program(self) -> Optional[Theory]:
+        return self.plan.program
+
+    @property
+    def rewriting(self) -> Optional[WfgRewriting]:
+        return self.plan.rewriting
+
+    @property
+    def advice(self) -> Optional[dict]:
+        advice = self.plan.advice
+        return advice.to_dict() if advice is not None else None
+
+    @property
+    def advice_fallback(self) -> bool:
+        return self.plan.fallback is not None
+
     def describe(self) -> dict:
         """The JSON-safe registration summary sent over the wire."""
         return {
@@ -157,7 +158,7 @@ class CompiledTheory:
             "classes": list(self.labels.names()),
             "strategy": self.strategy,
             "lint": dict(self.lint_summary),
-            "advice": dict(self.advice) if self.advice is not None else None,
+            "advice": self.advice,
             "advice_fallback": self.advice_fallback,
             "plans_compiled": self.plans_compiled,
             "snapshots_warmed": self.snapshots_warmed,
@@ -319,102 +320,31 @@ class CompiledTheory:
             raise InvalidRequestError(
                 f"output relation {output!r} does not occur in the theory"
             )
-        if self.strategy in (STRATEGY_DATALOG, STRATEGY_TRANSLATE):
-            assert self.program is not None
-            with _obs_span("service.answer", strategy=self.strategy) as span:
-                fixpoint = self._cache_get(db_key)
-                if span is not None:
-                    span.set(cache_hit=fixpoint is not None)
-                if fixpoint is None:
-                    fixpoint = self._snapshot_load(db_key)
-                if fixpoint is None:
-                    self._count("materializations")
-                    with _obs_span("service.materialize", strategy=self.strategy):
-                        fixpoint = evaluate(self.program, database)
-                    self._cache_put(db_key, fixpoint)
-                    self._snapshot_save(db_key, fixpoint)
-                with _obs_span("service.cq_eval", output=output):
-                    return Outcome(
-                        value=answers_in(fixpoint, output), complete=True
-                    )
-        if self.strategy == STRATEGY_WFG:
-            assert self.rewriting is not None
-            with _obs_span("service.answer", strategy=self.strategy) as span:
-                fixpoint = self._cache_get(db_key)
-                if span is not None:
-                    span.set(cache_hit=fixpoint is not None)
-                if fixpoint is None:
-                    fixpoint = self._snapshot_load(db_key)
-                if fixpoint is None:
-                    self._count("materializations")
-                    with _obs_span("service.materialize", strategy=self.strategy):
-                        prepared = self.rewriting.prepare_database(database)
-                        grounded = partial_grounding(
-                            self.rewriting.theory, prepared
-                        )
-                        datalog = nearly_guarded_to_datalog(
-                            grounded, max_rules=self.saturation_max_rules
-                        )
-                        fixpoint = evaluate(datalog, prepared)
-                    self._cache_put(db_key, fixpoint)
-                    self._snapshot_save(db_key, fixpoint)
-                with _obs_span("service.cq_eval", output=output):
-                    answers = {
-                        self.rewriting.restore_answer(output, answer)
-                        for answer in answers_in(fixpoint, output)
-                    }
-                    return Outcome(value=answers, complete=True)
-        with _obs_span("service.answer", strategy=STRATEGY_CHASE) as span:
-            # A *complete* chase instance is budget-independent (budgets
-            # only truncate), so the cache key is the database alone and
-            # truncated runs are never stored.
-            instance = self._cache_get(db_key)
+        plan = self.plan
+        with _obs_span("service.answer", strategy=plan.strategy) as span:
+            model = self._cache_get(db_key)
             if span is not None:
-                span.set(cache_hit=instance is not None)
-            if instance is None:
-                instance = self._snapshot_load(db_key)
-            if instance is not None:
-                with _obs_span("service.cq_eval", output=output):
-                    return Outcome(
-                        value=answers_in(instance, output), complete=True
-                    )
-            self._count("materializations")
-            with _obs_span("service.materialize", strategy=STRATEGY_CHASE):
-                # Restricted, not oblivious: the advisor's termination
-                # verdicts certify the restricted/skolem chases only, and
-                # predictively routed theories must actually terminate.
-                result = run_chase(
-                    self.theory, database, policy=RESTRICTED, budget=budget
-                )
+                span.set(cache_hit=model is not None)
+            if model is None:
+                model = self._snapshot_load(db_key)
+            if model is None:
+                self._count("materializations")
+                with _obs_span("service.materialize", strategy=plan.strategy):
+                    outcome = plan.materialize(database, budget)
+                model = outcome.value
+                if not outcome.complete:
+                    # A cut-short chase: sound partial answers, never
+                    # cached (a complete model is budget-independent).
+                    with _obs_span("service.cq_eval", output=output):
+                        return replace(outcome, value=plan.decode(model, output))
+                self._cache_put(db_key, model)
+                self._snapshot_save(db_key, model)
             with _obs_span("service.cq_eval", output=output):
-                answers = answers_in(result.database, output)
-            if result.complete:
-                self._cache_put(db_key, result.database)
-                self._snapshot_save(db_key, result.database)
-                return Outcome(value=answers, complete=True)
-            return Outcome(
-                value=answers,
-                complete=False,
-                exhausted=result.truncated_reason,
-                sound=True,
-                snapshot=result.snapshot,
-            )
+                return Outcome(value=plan.decode(model, output), complete=True)
 
     # ------------------------------------------------------------------
     # incremental updates (repro.incremental)
     # ------------------------------------------------------------------
-    def _wfg_materialize(self, database: Database) -> Database:
-        """The WFG pipeline's database-dependent half (mirrors
-        :meth:`answer`'s materialization exactly, so live-model state
-        and query-path caches stay interchangeable)."""
-        assert self.rewriting is not None
-        prepared = self.rewriting.prepare_database(database)
-        grounded = partial_grounding(self.rewriting.theory, prepared)
-        datalog = nearly_guarded_to_datalog(
-            grounded, max_rules=self.saturation_max_rules
-        )
-        return evaluate(datalog, prepared)
-
     def _build_live(
         self,
         database: Database,
@@ -434,18 +364,18 @@ class CompiledTheory:
             seed = self._snapshot_load(db_key)
             if seed is not None:
                 self._materialized.pop(db_key, None)
-        if self.strategy in (STRATEGY_DATALOG, STRATEGY_TRANSLATE):
-            assert self.program is not None
-            return LiveModel(self.program, database, model=seed)
-        if self.strategy == STRATEGY_WFG:
+        plan = self.plan
+        if plan.program is not None:
+            return LiveModel(plan.program, database, model=seed)
+        if plan.rewriting is not None:
             return RecomputeLiveModel(
-                self._wfg_materialize,
+                lambda edb: plan.materialize(edb).value,
                 database,
                 reason="wfg_grounding",
                 model=seed,
             )
         return ChaseLiveModel(
-            self.theory, database, budget=budget or ChaseBudget(), model=seed
+            plan.theory, database, budget=budget or ChaseBudget(), model=seed
         )
 
     def update(
@@ -481,65 +411,6 @@ class CompiledTheory:
         self._cache_put(new_key, live.model)
         self._snapshot_save(new_key, live.model)
         return new_key, stats, live
-
-
-def _pick_strategy(
-    theory: Theory,
-    labels: Classification,
-    max_rules: int,
-    requested: str,
-    advice: Optional[StrategyAdvice] = None,
-) -> tuple[str, Optional[Theory], Optional[WfgRewriting], bool]:
-    """Pick the answering strategy *predictively*.
-
-    The dispatch order: plain Datalog first (nothing beats the
-    semi-naive fixpoint), then — the advisor's contribution — any theory
-    whose chase is statically proven to terminate goes straight to the
-    restricted chase, skipping the class-based translation whose output
-    is worst-case sized rather than input sized.  Only theories with no
-    termination proof fall through to the Figure 1 class dispatch
-    (translate / WFG pipeline), and if *that* translation blows its
-    ``max_rules`` budget the registry falls back reactively to the
-    budgeted chase (flagged in the returned bool and counted as
-    ``advisor.fallback``) instead of refusing registration.
-
-    ``requested="chase"`` still overrides everything — for operators who
-    know better than the ladder."""
-    if requested == STRATEGY_CHASE:
-        return STRATEGY_CHASE, None, None, False
-    if requested not in REQUESTABLE_STRATEGIES:
-        raise InvalidRequestError(
-            f"unknown strategy {requested!r}; expected one of "
-            f"{REQUESTABLE_STRATEGIES}"
-        )
-    if labels.datalog and not theory.has_negation():
-        return STRATEGY_DATALOG, theory, None, False
-    if advice is not None and advice.terminates:
-        return STRATEGY_CHASE, None, None, False
-    try:
-        if labels.nearly_guarded or labels.nearly_frontier_guarded:
-            normal = normalize(theory).theory
-            if classify(normal).nearly_guarded:
-                program = nearly_guarded_to_datalog(normal, max_rules=max_rules)
-            else:
-                rewritten = rewrite_nearly_frontier_guarded(
-                    normal, max_rules=max_rules
-                )
-                program = nearly_guarded_to_datalog(
-                    rewritten, max_rules=max_rules
-                )
-            return STRATEGY_TRANSLATE, program, None, False
-        if labels.weakly_guarded or labels.weakly_frontier_guarded:
-            rewriting = rewrite_weakly_frontier_guarded(
-                theory, max_rules=max_rules
-            )
-            return STRATEGY_WFG, None, rewriting, False
-    except (TranslationError, BudgetExceeded):
-        obs = _obs_current()
-        if obs is not None:
-            obs.inc("advisor.fallback")
-        return STRATEGY_CHASE, None, None, True
-    return STRATEGY_CHASE, None, None, False
 
 
 def _warm_plans(program: Theory) -> int:
@@ -582,6 +453,11 @@ def compile_theory(
     Raises :class:`~repro.core.parser.ParseError` on syntax errors and
     :class:`~repro.robustness.errors.InvalidTheoryError` when ``strict``
     and the linter reports error-level diagnostics."""
+    if strategy not in REQUESTABLE_STRATEGIES:
+        raise InvalidRequestError(
+            f"unknown strategy {strategy!r}; expected one of "
+            f"{REQUESTABLE_STRATEGIES}"
+        )
     digest = content_hash(text)
     with _obs_span("service.compile", theory=digest[:12]):
         with _obs_span("service.compile.parse"):
@@ -600,35 +476,31 @@ def compile_theory(
         with _obs_span("service.compile.advise"):
             advice = advise(theory, labels=labels)
         with _obs_span("service.compile.translate"):
-            chosen, program, rewriting, fallback = _pick_strategy(
-                theory, labels, max_rules, strategy, advice=advice
+            plan = plan_answering(
+                theory,
+                strategy,
+                max_rules=max_rules,
+                saturation_max_rules=saturation_max_rules,
+                advice=advice,
             )
         compiled = CompiledTheory(
             content_hash=digest,
             text=text,
-            theory=theory,
             labels=labels,
-            strategy=chosen,
+            plan=plan,
             lint_summary=summary,
-            program=program,
-            rewriting=rewriting,
-            max_rules=max_rules,
-            saturation_max_rules=saturation_max_rules,
             materialization_capacity=materialization_capacity,
-            requested_strategy=strategy,
-            advice=advice.to_dict(),
-            advice_fallback=fallback,
             snapshot_dir=snapshot_dir,
             counters=counters,
         )
         with _obs_span("service.compile.plans"):
-            if program is not None:
-                compiled.plans_compiled = _warm_plans(program)
-            elif rewriting is not None:
+            if plan.program is not None:
+                compiled.plans_compiled = _warm_plans(plan.program)
+            elif plan.rewriting is not None:
                 # The grounded program is database-dependent; warming the
                 # rewriting's rule bodies still covers the chase-free
                 # prefix shared by every request.
-                compiled.plans_compiled = _warm_plans(rewriting.theory)
+                compiled.plans_compiled = _warm_plans(plan.rewriting.theory)
     return compiled
 
 
@@ -705,7 +577,7 @@ class TheoryRegistry:
         digest = content_hash(text)
         entry = self._entries.get(digest)
         obs = _obs_current()
-        if entry is not None and strategy == entry.requested_strategy:
+        if entry is not None and strategy == entry.plan.requested:
             self._stats["hits"] += 1
             if obs is not None:
                 obs.inc("service.registry.hits")
@@ -726,13 +598,14 @@ class TheoryRegistry:
             counters=self._stats,
         )
         entry.warm_from_snapshots()
-        if entry.advice_fallback:
+        plan = entry.plan
+        if plan.fallback is not None:
             self._stats["advisor_fallbacks"] += 1
         elif (
-            entry.strategy == STRATEGY_CHASE
+            plan.strategy == STRATEGY_CHASE
             and strategy != STRATEGY_CHASE
-            and entry.advice is not None
-            and entry.advice.get("terminates")
+            and plan.advice is not None
+            and plan.advice.terminates
         ):
             self._stats["advisor_predicted_chase"] += 1
             if obs is not None:

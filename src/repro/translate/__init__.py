@@ -7,7 +7,8 @@
 * ``nearly_guarded_to_datalog``         — nearly guarded → Datalog (Prop. 6)
 * ``axiomatize_acdom``                  — eliminate ACDom (Prop. 5)
 * ``partial_grounding``                 — ``pg(Σ, D)``
-* ``answer_wfg_query`` / ``answer_query`` — the Section 7 pipeline
+* ``answer_wfg_query``                  — the Section 7 pipeline
+* ``plan_answering`` / ``answer_query`` — the one answering planner
 """
 
 from .acdom import axiomatize_acdom, starred
@@ -27,7 +28,13 @@ from .expansion import (
     rewrite_nearly_frontier_guarded,
 )
 from .grounding import ground_program, partial_grounding
-from .pipeline import PipelineReport, answer_query, answer_wfg_query
+from .pipeline import (
+    AnsweringPlan,
+    PipelineReport,
+    answer_query,
+    answer_wfg_query,
+    plan_answering,
+)
 from .rc_rnc import (
     RcRncBundle,
     bag_axioms,
@@ -47,6 +54,7 @@ from .saturation import (
 from .selections import Selection, covered_atoms, enumerate_selections, keep_set
 
 __all__ = [
+    "AnsweringPlan",
     "ExpansionBudget",
     "ExpansionResult",
     "NotCoherentlyGuardedError",
@@ -73,6 +81,7 @@ __all__ = [
     "keep_set",
     "nearly_guarded_to_datalog",
     "partial_grounding",
+    "plan_answering",
     "rc_rewriting",
     "rewrite_frontier_guarded",
     "rewrite_nearly_frontier_guarded",

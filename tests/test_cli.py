@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,34 @@ class TestAnswer:
         _, existential, data = workspace
         assert main(["answer", str(existential), str(data), "--output", "R"]) == 0
         assert capsys.readouterr().out.strip() == ""
+
+
+class TestAnswerPlanner:
+    """``auto`` and ``chase`` share one path: the planner's choice, a
+    sound partial answer and exit 3 whenever the chosen chase is cut."""
+
+    EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+    def test_auto_answers_publication_by_the_chase(self, capsys):
+        # Weakly acyclic: the advisor routes it to the restricted chase,
+        # which answers in milliseconds; the class translation would
+        # exhaust the timeout and exit 3.
+        code = main(
+            ["answer", str(self.EXAMPLES / "publication.rules"),
+             str(self.EXAMPLES / "publication.db"), "--output", "Q",
+             "--timeout", "5"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == ["(a1)", "(a2)"]
+
+    def test_auto_exits_3_when_the_chosen_chase_is_cut(self, capsys):
+        code = main(
+            ["answer", str(self.EXAMPLES / "publication.rules"),
+             str(self.EXAMPLES / "publication.db"), "--output", "Q",
+             "--max-steps", "2"]
+        )
+        assert code == 3
+        assert "# exhausted (max_steps)" in capsys.readouterr().err
 
 
 class TestRobustness:

@@ -378,7 +378,9 @@ class TestRegistryStaleness:
         # The WFG pipeline's partial grounding is database-dependent, so
         # its live model is the reported-recompute wrapper.  The advisor
         # routes every weakly-acyclic WG exemplar straight to the chase,
-        # so force the strategy onto the Theorem 2 rewriting explicitly.
+        # so force the plan onto the Theorem 2 rewriting explicitly.
+        from dataclasses import replace
+
         from repro.service.registry import STRATEGY_WFG, compile_theory
         from repro.translate import rewrite_weakly_frontier_guarded
 
@@ -389,9 +391,12 @@ class TestRegistryStaleness:
             "M(y,w), T(x,y) -> Reach(x)"
         )
         compiled = compile_theory(text, strategy="auto")
-        compiled.strategy = STRATEGY_WFG
-        compiled.rewriting = rewrite_weakly_frontier_guarded(
-            compiled.theory, max_rules=100_000
+        compiled.plan = replace(
+            compiled.plan,
+            strategy=STRATEGY_WFG,
+            rewriting=rewrite_weakly_frontier_guarded(
+                compiled.theory, max_rules=100_000
+            ),
         )
         db = parse_database("E(a, b).")
         new_key, stats, live = compiled.update(

@@ -21,10 +21,12 @@ from repro.chase import (
 from repro.datalog import datalog_answers, evaluate
 from repro.guardedness import classify, normalize
 from repro.queries import ConjunctiveQuery, answer_cq, compare_strategies
+from repro.analysis import advise
 from repro.translate import (
     answer_query,
     guarded_to_datalog,
     nearly_guarded_to_datalog,
+    plan_answering,
     rewrite_frontier_guarded,
 )
 
@@ -193,3 +195,34 @@ class TestRandomizedCrossStrategy:
                 chased.database, output
             )
             checked += 1
+
+    def test_planner_routes_agree_on_advisor_terminating_theories(self):
+        rng = random.Random(2025)
+        from repro.bench.generators import (
+            random_database,
+            random_guarded_theory,
+            random_signature,
+        )
+
+        checked = translated = 0
+        while checked < 10:
+            sig = random_signature(rng, n_relations=3, max_arity=2)
+            theory = random_guarded_theory(rng, sig, n_rules=4)
+            advice = advise(theory)
+            if not advice.terminates:
+                continue
+            db = random_database(rng, sig, n_constants=3, n_atoms=6)
+            output = sorted(theory.relations())[0]
+            auto = plan_answering(theory)
+            assert auto.strategy == advice.recommended
+            answers = {
+                requested: plan_answering(theory, requested).answer(db, output)
+                for requested in ("auto", "chase", "translate")
+            }
+            assert all(outcome.complete for outcome in answers.values())
+            assert answers["auto"].value == answers["chase"].value
+            assert answers["auto"].value == answers["translate"].value
+            checked += 1
+            translated += advice.recommended == "chase"
+        # the draws must exercise the chase against a real translation
+        assert translated >= 3

@@ -10,7 +10,12 @@ import pytest
 from repro.chase import certain_answers
 from repro.core import Query, parse_database, parse_theory
 from repro.obs import instrumented
-from repro.robustness.errors import InvalidRequestError, InvalidTheoryError
+from repro.robustness import governed, inject, probe
+from repro.robustness.errors import (
+    DeadlineExceeded,
+    InvalidRequestError,
+    InvalidTheoryError,
+)
 from repro.service.registry import (
     STRATEGY_CHASE,
     STRATEGY_DATALOG,
@@ -273,3 +278,43 @@ class TestAdvisorRouting:
         assert outcome.complete
         reference = certain_answers(Query(parse_theory(MFA), "T"), parse_database('A("a"). A("b").'))
         assert names(outcome.value) == names(reference)
+
+
+class TestPlannerFallbacks:
+    def test_translation_blowup_falls_back_to_chase(self):
+        # LOOP has no termination proof, so auto translates it; a
+        # one-rule budget makes the translation blow up.
+        registry = TheoryRegistry(capacity=4, max_rules=1)
+        with instrumented() as instr:
+            entry = registry.register(LOOP)
+        assert entry.strategy == STRATEGY_CHASE
+        assert entry.advice_fallback is True
+        assert entry.plan.fallback == "max_rules"
+        assert registry.stats()["advisor_fallbacks"] == 1
+        assert registry.stats()["advisor_predicted_chase"] == 0
+        assert instr.metrics.counter("advisor.fallback") == 1
+        # The restricted chase of LOOP stops at once on a self-loop.
+        outcome = entry.answer(parse_database("E(a,a)."), "E")
+        assert outcome.complete
+        assert names(outcome.value) == [["a", "a"]]
+
+    def test_deadline_during_register_caches_nothing(self):
+        # A deadline is not a translation blowup: it must propagate, and
+        # must not leave a chase fallback cached for later requests.
+        def run(governor):
+            with governed(governor):
+                return TheoryRegistry(capacity=4).register(LOOP)
+
+        for at_tick in range(1, probe(run) + 1):
+            registry = TheoryRegistry(capacity=4)
+            with governed(inject(at_tick, "deadline")):
+                with pytest.raises(DeadlineExceeded):
+                    registry.register(LOOP)
+            assert content_hash(LOOP) not in registry
+            assert registry.stats()["advisor_fallbacks"] == 0
+            entry = registry.register(LOOP)
+            assert entry.strategy == STRATEGY_TRANSLATE
+            assert entry.advice_fallback is False
+            outcome = entry.answer(parse_database("E(a,b)."), "E")
+            assert outcome.complete
+            assert names(outcome.value) == [["a", "b"]]
