@@ -105,7 +105,7 @@ def ablation_report() -> str:
     lines.append(f"  {'strategy':>10}  {'atoms':>6}  {'seconds':>8}")
     for row in evaluation_strategy_ablation():
         lines.append(
-            f"  {row['strategy']:>10}  {row['atoms']:>6}  {row['seconds']:>8.2f}"
+            f"  {row['strategy']:>10}  {row['atoms']:>6}  {row['seconds']:>8.4f}"
         )
     lines.append("")
     lines.append("saturation strategy (Figure 3 closure):")

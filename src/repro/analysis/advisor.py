@@ -40,6 +40,7 @@ from ..chase.termination import (
     mfa_check,
 )
 from ..core.theory import Theory
+from ..datalog.stratification import is_stratified
 from ..guardedness.classify import Classification, classify
 from ..obs import current, span
 
@@ -154,7 +155,9 @@ def advise(
             estimate = estimate_chase_cost(theory)
         cost = estimate.to_dict() if estimate is not None else None
 
-        datalog_ok = labels.datalog and not theory.has_negation()
+        datalog_ok = labels.datalog and (
+            not theory.has_negation() or is_stratified(theory)
+        )
         translate_ok = labels.nearly_guarded or labels.nearly_frontier_guarded
         wfg_ok = labels.weakly_guarded or labels.weakly_frontier_guarded
         engines = {
@@ -178,8 +181,8 @@ def advise(
         if datalog_ok:
             recommended = "datalog"
             reasons.append(
-                "plain Datalog without negation: semi-naive fixpoint is "
-                "complete with no translation"
+                "Datalog with at most stratified negation: semi-naive "
+                "fixpoint is complete with no translation"
             )
         elif terminates:
             recommended = "chase"

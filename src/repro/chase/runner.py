@@ -849,12 +849,7 @@ class _DatalogFirst(_Chase):
         frontier image) pair, carrying the shallowest depth among its
         body images, in deterministic order."""
         database = self.database
-        staged, boxed = derivations(self._image_rules, database, delta)
-        intern = database._symtab.intern
-        for atom in boxed:
-            staged.setdefault(atom.relation_key, set()).add(
-                tuple([intern(term) for term in atom.args])
-            )
+        staged = derivations(self._image_rules, database, delta)
         depth_of = None
         if self.depths:
             ids = database._symtab._ids

@@ -20,7 +20,8 @@ Two implementations share this module's public surface:
   greedily at each step (most bound positions first).  It is the
   reference implementation the compiled path is differentially tested
   against, and the ``REPRO_NAIVE_JOIN=1`` environment variable routes
-  :func:`homomorphisms` back to it.
+  :func:`homomorphisms` and the Datalog rule executors
+  (:func:`repro.core.plan.derive_rule_rows`) back to it.
 
 Both enumerate the same assignment *set*; enumeration order is
 unspecified (the interpreter iterates hash sets).
@@ -40,12 +41,11 @@ database, and binds a free variable to every active-domain constant.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .atoms import Atom, NegatedAtom
 from .database import Database
-from .plan import cached_plan, execute_plan
+from .plan import _naive_requested, cached_plan, execute_plan
 from .store import ColumnDelta
 from .terms import Constant, Null, Term, Variable
 from .theory import ACDOM
@@ -65,26 +65,6 @@ __all__ = [
 Assignment = dict[Variable, Term]
 
 _EMPTY_KEYS: frozenset[Variable] = frozenset()
-
-
-try:
-    # os.environ.get raises-and-catches KeyError internally on every miss,
-    # which is measurable on the per-homomorphism-call hot path; CPython
-    # keeps the live mapping in ``_data`` (bytes-keyed on POSIX), and
-    # monkeypatched/env mutations go through it, so probing it directly is
-    # both fast and current.
-    _ENV_DATA = os.environ._data
-    _NAIVE_KEY = os.environ.encodekey("REPRO_NAIVE_JOIN")
-except AttributeError:  # pragma: no cover - non-CPython fallback
-    _ENV_DATA = None
-    _NAIVE_KEY = None
-
-
-def _naive_requested() -> bool:
-    if _ENV_DATA is not None:
-        raw = _ENV_DATA.get(_NAIVE_KEY)
-        return raw is not None and raw not in (b"", b"0", "", "0")
-    return os.environ.get("REPRO_NAIVE_JOIN", "") not in ("", "0")
 
 
 def _is_acdom(atom: Atom) -> bool:
@@ -228,15 +208,14 @@ def naive_homomorphisms(
 
     Re-plans the pattern dynamically at every search step and copies the
     assignment dict per candidate — simple, obviously correct, slow.  Kept
-    as the differential-testing oracle; it does not bump the
-    ``homomorphism_calls`` counter (the dispatcher does).  Forced facts
+    as the differential-testing oracle; it counts nothing (the
+    dispatchers count ``homomorphism_calls``).  Forced facts
     may be atoms or the Datalog engine's encoded
     :class:`~repro.core.store.ColumnDelta` row blocks, as for the
     compiled executors.
     """
     atoms = list(pattern)
     assignment: Assignment = dict(partial) if partial else {}
-    obs = _obs_current()
 
     if forced is not None:
         forced_index, forced_atoms = forced
@@ -248,10 +227,10 @@ def naive_homomorphisms(
             seed = _unify(forced_atom, fact, assignment)
             if seed is None:
                 continue
-            yield from _search(rest, atoms, database, seed, obs)
+            yield from _search(rest, atoms, database, seed)
         return
 
-    yield from _search(list(range(len(atoms))), atoms, database, assignment, obs)
+    yield from _search(list(range(len(atoms))), atoms, database, assignment)
 
 
 def _decoded(facts, database: Database) -> Iterator[Atom]:
@@ -267,24 +246,14 @@ def _search(
     atoms: Sequence[Atom],
     database: Database,
     assignment: Assignment,
-    obs=None,
 ) -> Iterator[Assignment]:
     if not remaining:
         yield assignment
         return
     index = _select_next(remaining, atoms, assignment)
     rest = [i for i in remaining if i != index]
-    if obs is None:
-        for extension in _match_atom(atoms[index], database, assignment):
-            yield from _search(rest, atoms, database, extension)
-        return
-    obs.inc("homomorphism.match_calls")
-    matched = False
     for extension in _match_atom(atoms[index], database, assignment):
-        matched = True
-        yield from _search(rest, atoms, database, extension, obs)
-    if not matched:
-        obs.inc("homomorphism.backtracks")
+        yield from _search(rest, atoms, database, extension)
 
 
 def first_homomorphism(

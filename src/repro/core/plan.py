@@ -59,17 +59,19 @@ that raises when (and only when) the search reaches it, matching the
 interpreter's laziness; such an atom also enters the shape key
 verbatim, since the error message names it.
 
-Two assignment executors are generated per shape: a *fast* one and an
-*instrumented* one that accumulates ``homomorphism.match_calls`` /
-``homomorphism.backtracks`` for the observability layer; the dispatcher
-picks per call based on whether instrumentation is active.  The Datalog
-engine additionally compiles *rule executors* that stage encoded head
-rows instead of yielding assignments (:func:`derive_rule_rows`); head
-constants are lifted into the same constant tuple.
+One assignment executor is generated per shape, and it is the same
+whether or not instrumentation is active.  The Datalog engine fires
+every rule through *rule executors* that stage encoded head rows instead
+of yielding assignments and skip a match whose negated atoms' rows are
+present (:func:`derive_rule_rows`); head and negated-atom constants are
+lifted into the same constant tuple.  Patterns longer than
+:data:`MAX_COMPILED_ATOMS`, and every pattern while ``REPRO_NAIVE_JOIN=1``
+is set, run on the reference interpreter instead.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .atoms import Atom
@@ -93,11 +95,31 @@ __all__ = [
 Assignment = dict[Variable, Term]
 
 #: The longest pattern a generated executor can take: it nests one
-#: ``for`` per atom, Python allows at most 20 statically nested blocks,
-#: and the instrumented variant spends one on its ``try``.
-#: :func:`execute_plan` and the rule executors run longer patterns on
-#: the reference interpreter instead.
-MAX_COMPILED_ATOMS = 19
+#: ``for`` per atom, and Python allows at most 20 statically nested
+#: blocks.  :func:`execute_plan` and the rule executors run longer
+#: patterns on the reference interpreter instead.
+MAX_COMPILED_ATOMS = 20
+
+try:
+    # os.environ.get raises-and-catches KeyError internally on every miss,
+    # which is measurable on the per-rule-executor hot path; CPython keeps
+    # the live mapping in ``_data`` (bytes-keyed on POSIX), and
+    # monkeypatched/env mutations go through it, so probing it directly is
+    # both fast and current.
+    _ENV_DATA = os.environ._data
+    _NAIVE_KEY = os.environ.encodekey("REPRO_NAIVE_JOIN")
+except AttributeError:  # pragma: no cover - non-CPython fallback
+    _ENV_DATA = None
+    _NAIVE_KEY = None
+
+
+def _naive_requested() -> bool:
+    """Is ``REPRO_NAIVE_JOIN`` set (and not ``0``)?  Then every join runs
+    on the reference interpreter — the differential-testing switch."""
+    if _ENV_DATA is not None:
+        raw = _ENV_DATA.get(_NAIVE_KEY)
+        return raw is not None and raw not in (b"", b"0", "", "0")
+    return os.environ.get("REPRO_NAIVE_JOIN", "") not in ("", "0")
 
 # step kinds
 _ATOM = 0         # match against the database's positional indexes
@@ -153,8 +175,8 @@ class _Shape:
         "has_extras",
         "forced_index",
         "assign_fn",
-        "assign_instr_fn",
-        #: (lifted heads, all_rows) -> compiled row-emitting rule executor.
+        #: (lifted heads, lifted negated atoms, all_rows) -> compiled
+        #: row-emitting rule executor.
         "row_fns",
         "source",
     )
@@ -181,7 +203,6 @@ class _Shape:
         self.has_extras = has_extras
         self.forced_index = forced_index
         self.assign_fn = None
-        self.assign_instr_fn = None
         self.row_fns: dict[tuple, object] = {}
         self.source: Optional[str] = None
 
@@ -198,7 +219,8 @@ class JoinPlan:
         #: The pattern's distinct constants, in first-occurrence order.
         self.consts = consts
         self.shape = shape
-        #: (heads, all_rows) -> (row executor, constant tuple with heads').
+        #: (heads, negated, all_rows) -> (row executor, constant tuple
+        #: with the heads' and negated atoms' constants).
         self._rows: Optional[dict[tuple, tuple]] = None
 
     @property
@@ -219,9 +241,9 @@ class JoinPlan:
 
     def source(self) -> str:
         """The source of the assignment executor that :func:`execute_plan`
-        runs uninstrumented — debugging aid."""
+        runs — debugging aid."""
         if self.shape.source is None:
-            _generate(self.shape, instrumented=False)
+            _generate(self.shape)
         return self.shape.source
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -562,7 +584,7 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _compile_fn(shape: _Shape, e: _Emitter, instrumented: bool, store: bool = True):
+def _compile_fn(shape: _Shape, e: _Emitter, store: bool = True):
     source = e.source()
     namespace = dict(e.env)
     code = compile(source, f"<joinplan:{len(shape.steps)} atoms>", "exec")
@@ -572,11 +594,7 @@ def _compile_fn(shape: _Shape, e: _Emitter, instrumented: bool, store: bool = Tr
     if obs is not None:
         obs.inc("plan.codegen")
     fn = namespace["_plan_fn"]
-    if not store:
-        return fn
-    if instrumented:
-        shape.assign_instr_fn = fn
-    else:
+    if store:
         shape.assign_fn = fn
         shape.source = source
     return fn
@@ -584,8 +602,8 @@ def _compile_fn(shape: _Shape, e: _Emitter, instrumented: bool, store: bool = Tr
 
 def _generate(
     shape: _Shape,
-    instrumented: bool,
     heads: Optional[tuple] = None,
+    negated: tuple = (),
     all_rows: bool = False,
 ):
     """Emit, compile and return the executor for ``shape``.
@@ -602,75 +620,31 @@ def _generate(
     buckets, joins compare ints read straight out of the column vectors,
     and IDs decode back to terms only at the final ``yield``.  Forced
     facts arrive as pre-encoded ID rows (see :func:`_encode_forced`).
-    The instrumented variant additionally accumulates match/backtrack
-    counters and flushes them to the active observability runtime in a
-    ``finally``.
 
     With ``heads`` — lifted head atoms, ``(relation key, terms)`` pairs
     whose terms are variables or constant indices — the generator
     becomes a *rule executor*: instead of decoding assignments, each
     match appends the encoded head rows (skipping rows already in the
     database) into a per-relation staging set — nothing is boxed at all.
-    Used by the Datalog engine's fixpoint loop (see
-    :func:`derive_rule_rows`); requires an unadorned plan and no
-    instrumentation.  ``all_rows`` drops the existing-row skip so *every*
-    derived head row is staged, present or not — the incremental
-    engine's overdelete/affected-row discovery needs head rows that are
-    already (or still) in the model (see :func:`derive_rule_rows_all`).
+    ``negated`` holds the rule's negated atoms, lifted the same way: a
+    match whose encoded negated row is in the database stages nothing.
+    The negated relations must stay fixed while the rule fires — in a
+    stratified program they belong to lower strata — so their row sets
+    are read once in the prelude.  Used by the Datalog engine's fixpoint
+    loop (see :func:`derive_rule_rows`); requires an unadorned plan.
+    ``all_rows`` drops the existing-row skip so *every* derived head row
+    is staged, present or not — the incremental engine's
+    overdelete/affected-row discovery needs head rows that are already
+    (or still) in the model (see :func:`derive_rule_rows_all`).
     """
     e = _Emitter()
     steps = shape.steps
     if heads is not None:
-        assert not instrumented and not shape.adorned_slots
+        assert not shape.adorned_slots
         e.emit("def _plan_fn(database, forced_rows, out, K):")
-    elif instrumented:
-        e.emit("def _plan_fn(database, forced_rows, base, partial, K, obs):")
     else:
         e.emit("def _plan_fn(database, forced_rows, base, partial, K):")
     e.indent += 1
-
-    def emit_heads_prelude(slot_of: Mapping[Variable, int]):
-        """Resolve head relations/constants; returns per-head emitters."""
-        e.emit("SI = database._symtab.intern")
-        interned: set[int] = set()
-        emissions: list[tuple[str, str]] = []
-        for j, (relation_key, terms) in enumerate(heads):
-            key = e.ref(relation_key, "HK")
-            if not all_rows:
-                e.emit(f"RS{j} = database._existing_rows({key})")
-            e.emit(f"O{j} = out.get({key})")
-            e.emit(f"if O{j} is None:")
-            e.indent += 1
-            e.emit(f"O{j} = out[{key}] = set()")
-            e.indent -= 1
-            e.emit(f"A{j} = O{j}.add")
-            parts = []
-            for term in terms:
-                if isinstance(term, Variable):
-                    parts.append(f"s{slot_of[term]}")
-                    continue
-                if term not in interned:
-                    interned.add(term)
-                    e.emit(f"h{term} = SI(K[{term}])")
-                parts.append(f"h{term}")
-            row = f"({', '.join(parts)},)" if parts else "()"
-            emissions.append((f"RS{j}", row))
-        return emissions
-
-    def emit_head_rows(emissions):
-        for j, (rs, row) in enumerate(emissions):
-            if all_rows:
-                e.emit(f"A{j}({row})")
-            else:
-                e.emit(f"hr{j} = {row}")
-                e.emit(f"if hr{j} not in {rs}: A{j}(hr{j})")
-
-    if not steps:
-        if heads is not None:
-            emit_head_rows(emit_heads_prelude({}))
-        else:
-            e.emit("yield dict(base)")
-        return _compile_fn(shape, e, instrumented, store=heads is None)
 
     # Generation truncates at a malformed-ACDom step (it raises when and
     # only when the search reaches it); only earlier steps need prelude
@@ -696,10 +670,11 @@ def _generate(
 
     resolved: set[int] = set()
 
-    def resolve(index: int) -> None:
+    def resolve(index: int) -> str:
         if index not in resolved:
             resolved.add(index)
             e.emit(f"c{index} = S.get(K[{index}], -1)")
+        return f"c{index}"
 
     for _, step in active:
         for _, index in step.const_items:
@@ -753,21 +728,51 @@ def _generate(
             e.emit(f"N{i} = rl{i}.n_rows")
         e.indent -= 1
 
-    head_emissions = (
-        emit_heads_prelude(dict(shape.out_items)) if heads is not None else None
-    )
+    slot_of = dict(shape.out_items)
 
-    if instrumented:
-        e.emit("_m = 0")
-        e.emit("_b = 0")
-        e.emit("try:")
-        e.indent += 1
+    def row_of(terms, constant) -> str:
+        """The tuple expression of one encoded row: slots for variables,
+        ``constant(index)`` for constants."""
+        parts = [
+            f"s{slot_of[term]}" if isinstance(term, Variable) else constant(term)
+            for term in terms
+        ]
+        return f"({', '.join(parts)},)" if parts else "()"
+
+    # Negated rows: an absent constant resolves to -1 like a body
+    # constant, so the row is in no row set and the match survives.
+    negated_rows: list[tuple[str, str]] = []
+    for j, (relation_key, terms) in enumerate(negated):
+        e.emit(f"NS{j} = database._existing_rows({e.ref(relation_key, 'NK')})")
+        negated_rows.append((f"NS{j}", row_of(terms, resolve)))
+
+    head_rows: list[tuple[str, str]] = []
+    if heads is not None:
+        e.emit("SI = database._symtab.intern")
+        interned: set[int] = set()
+
+        def intern(index: int) -> str:
+            if index not in interned:
+                interned.add(index)
+                e.emit(f"h{index} = SI(K[{index}])")
+            return f"h{index}"
+
+        for j, (relation_key, terms) in enumerate(heads):
+            key = e.ref(relation_key, "HK")
+            if not all_rows:
+                e.emit(f"RS{j} = database._existing_rows({key})")
+            e.emit(f"O{j} = out.get({key})")
+            e.emit(f"if O{j} is None:")
+            e.indent += 1
+            e.emit(f"O{j} = out[{key}] = set()")
+            e.indent -= 1
+            e.emit(f"A{j} = O{j}.add")
+            head_rows.append((f"RS{j}", row_of(terms, intern)))
 
     loop_indents: list[int] = []
     truncated = False
     for i, step in enumerate(steps):
         fail = "continue" if loop_indents else "return"
-        guard_bt = "_b += 1; " if instrumented else ""
         if step.kind == _ACDOM_BAD:
             message = f"ACDom is unary, got {step.atom}"
             e.emit(f"raise ValueError({e.ref(message, 'A')})")
@@ -777,8 +782,6 @@ def _generate(
             e.emit(f"for s{step.acdom_slot} in AC:")
             loop_indents.append(e.indent)
             e.indent += 1
-            if instrumented:
-                e.emit("_m += 1")
             continue
         if step.kind == _ACDOM_CHECK:
             value = (
@@ -786,9 +789,7 @@ def _generate(
                 if step.acdom_const is not None
                 else f"s{step.acdom_slot}"
             )
-            e.emit(f"if {value} not in ACS: {guard_bt}{fail}")
-            if instrumented:
-                e.emit("_m += 1")
+            e.emit(f"if {value} not in ACS: {fail}")
             continue
 
         if step.kind == _FORCED:
@@ -805,8 +806,6 @@ def _generate(
                 e.emit(f"s{slot} = r{i}[{position}]")
             for position, slot in step.check_items:
                 e.emit(f"if r{i}[{position}] != s{slot}: continue")
-            if instrumented:
-                e.emit("_m += 1")
             continue
 
         # _ATOM
@@ -816,16 +815,16 @@ def _generate(
         elif len(items) == 1:
             position, value = items[0]
             e.emit(f"best = B{i}_{position}.get({value})")
-            e.emit(f"if best is None: {guard_bt}{fail}")
+            e.emit(f"if best is None: {fail}")
             e.emit(f"for o{i} in best:")
         else:
             position, value = items[0]
             e.emit(f"b = B{i}_{position}.get({value})")
-            e.emit(f"if b is None: {guard_bt}{fail}")
+            e.emit(f"if b is None: {fail}")
             e.emit("best = b")
             for position, value in items[1:]:
                 e.emit(f"b = B{i}_{position}.get({value})")
-                e.emit(f"if b is None: {guard_bt}{fail}")
+                e.emit(f"if b is None: {fail}")
                 e.emit("if len(b) < len(best): best = b")
             e.emit(f"for o{i} in best:")
         loop_indents.append(e.indent)
@@ -839,12 +838,18 @@ def _generate(
             e.emit(f"s{slot} = C{i}_{position}[o{i}]")
         for position, slot in step.check_items:
             e.emit(f"if C{i}_{position}[o{i}] != s{slot}: continue")
-        if instrumented:
-            e.emit("_m += 1")
 
     if not truncated:
+        fail = "continue" if loop_indents else "return"
+        for row_set, row in negated_rows:
+            e.emit(f"if {row} in {row_set}: {fail}")
         if heads is not None:
-            emit_head_rows(head_emissions)
+            for j, (row_set, row) in enumerate(head_rows):
+                if all_rows:
+                    e.emit(f"A{j}({row})")
+                else:
+                    e.emit(f"hr{j} = {row}")
+                    e.emit(f"if hr{j} not in {row_set}: A{j}(hr{j})")
         else:
             entries = ", ".join(
                 f"{e.ref(variable, 'V')}: TT[s{slot}]"
@@ -854,21 +859,7 @@ def _generate(
                 e.emit(f"yield {{**base, {entries}}}")
             else:
                 e.emit(f"yield {{{entries}}}")
-
-    if instrumented:
-        for indent in reversed(loop_indents):
-            e.indent = indent
-            e.emit("_b += 1")
-        e.indent = 1
-        e.emit("finally:")
-        e.indent += 1
-        e.emit("if obs is not None:")
-        e.indent += 1
-        e.emit("obs.inc('homomorphism.match_calls', _m)")
-        e.emit("if _b:")
-        e.indent += 1
-        e.emit("obs.inc('homomorphism.backtracks', _b)")
-    return _compile_fn(shape, e, instrumented, store=heads is None)
+    return _compile_fn(shape, e, store=heads is None)
 
 
 def _encode_forced(shape: _Shape, database: Database, forced_facts) -> list:
@@ -900,18 +891,24 @@ def derive_rule_rows(
     database: Database,
     forced,
     out: dict,
+    negated: Sequence[Atom] = (),
 ) -> None:
     """Fire a Datalog rule entirely in ID space.
 
     Joins ``body`` against ``database`` with the compiled executor and
     stages every head row not already present into ``out`` (a mapping
     from relation key to a set of encoded rows) — no assignment dicts,
-    no :class:`Atom` boxing.  ``forced`` is ``None`` for the initial
-    round or ``(body_index, delta_blocks)`` for semi-naive iteration.
-    The executor is generated once per lifted ``(body, heads)`` shape and
-    bound to this rule's constants on the plan, keyed by the head tuple.
+    no :class:`Atom` boxing.  A match whose instance of some ``negated``
+    atom is in ``database`` stages nothing; the negated relations must
+    not change while the rule fires (lower strata are final).
+    ``forced`` is ``None`` for the initial round or ``(body_index,
+    delta_blocks)`` for semi-naive iteration.  The executor is generated
+    once per lifted ``(body, heads, negated)`` shape and bound to this
+    rule's constants on the plan, keyed by the head and negated tuples.
+    Each call counts one ``homomorphism_calls`` when instrumentation is
+    active.
     """
-    _derive_rows(body, heads, database, forced, out, all_rows=False)
+    _derive_rows(body, heads, negated, database, forced, out, all_rows=False)
 
 
 def derive_rule_rows_all(
@@ -930,16 +927,19 @@ def derive_rule_rows_all(
     the existing-row skip of the normal executor would hide exactly the
     rows being sought.  Executors are cached per ``(heads, mode)``.
     """
-    _derive_rows(body, heads, database, forced, out, all_rows=True)
+    _derive_rows(body, heads, (), database, forced, out, all_rows=True)
 
 
 _NO_KEYS: frozenset = frozenset()
 
 
-def _derive_rows(body, heads, database, forced, out, all_rows: bool) -> None:
+def _derive_rows(body, heads, negated, database, forced, out, all_rows: bool) -> None:
+    obs = _obs_current()
+    if obs is not None:
+        obs.inc("homomorphism_calls")
     atoms = tuple(body)
-    if len(atoms) > MAX_COMPILED_ATOMS:
-        _interpret_rows(atoms, heads, database, forced, out, all_rows)
+    if len(atoms) > MAX_COMPILED_ATOMS or _naive_requested():
+        _interpret_rows(atoms, heads, negated, database, forced, out, all_rows)
         return
     if forced is not None:
         index, candidates = forced
@@ -953,17 +953,20 @@ def _derive_rows(body, heads, database, forced, out, all_rows: bool) -> None:
     bound = plan._rows
     if bound is None:
         bound = plan._rows = {}
-    cache_key = (tuple(heads), all_rows)
+    cache_key = (tuple(heads), tuple(negated), all_rows)
     entry = bound.get(cache_key)
     if entry is None:
-        entry = bound[cache_key] = _bind_rows(plan, cache_key[0], all_rows)
+        entry = bound[cache_key] = _bind_rows(plan, *cache_key)
     fn, consts = entry
     fn(database, rows, out, consts)
 
 
-def _interpret_rows(atoms, heads, database, forced, out, all_rows: bool) -> None:
+def _interpret_rows(
+    atoms, heads, negated, database, forced, out, all_rows: bool
+) -> None:
     """:func:`_derive_rows` on the reference interpreter: each
-    assignment's head rows, encoded and staged the same way."""
+    assignment's head rows, encoded and staged the same way, unless a
+    negated atom's instance is in the database."""
     intern = database._symtab.intern
     targets = []
     for head in heads:
@@ -971,6 +974,8 @@ def _interpret_rows(atoms, heads, database, forced, out, all_rows: bool) -> None
         existing = frozenset() if all_rows else database._existing_rows(key)
         targets.append((head, out.setdefault(key, set()), existing))
     for assignment in _interpret(atoms, database, None, forced):
+        if any(atom.substitute(assignment) in database for atom in negated):
+            continue
         for head, staged, existing in targets:
             row = tuple(intern(term) for term in head.substitute(assignment).all_terms)
             if row not in existing:
@@ -979,24 +984,31 @@ def _interpret_rows(atoms, heads, database, forced, out, all_rows: bool) -> None
 
 def _interpret(atoms, database, partial, forced):
     """Assignments from the reference interpreter, for patterns longer
-    than :data:`MAX_COMPILED_ATOMS`."""
+    than :data:`MAX_COMPILED_ATOMS` and ``REPRO_NAIVE_JOIN=1`` runs."""
     from .homomorphism import naive_homomorphisms  # imports this module
 
     return naive_homomorphisms(atoms, database, partial=partial, forced=forced)
 
 
-def _bind_rows(plan: JoinPlan, heads: tuple[Atom, ...], all_rows: bool) -> tuple:
-    """The row executor for ``plan`` firing into ``heads``, with the
-    constant tuple it runs on: the body's constants, then the heads'."""
+def _bind_rows(
+    plan: JoinPlan,
+    heads: tuple[Atom, ...],
+    negated: tuple[Atom, ...],
+    all_rows: bool,
+) -> tuple:
+    """The row executor for ``plan`` firing into ``heads`` unless a
+    ``negated`` atom holds, with the constant tuple it runs on: the
+    body's constants, then the heads', then the negated atoms'."""
     consts = list(plan.consts)
     const_index = {term: index for index, term in enumerate(consts)}
-    lifted = _lift_atoms(heads, const_index, consts)
+    lifted_heads = _lift_atoms(heads, const_index, consts)
+    lifted_negated = _lift_atoms(negated, const_index, consts)
     shape = plan.shape
-    key = (lifted, all_rows)
+    key = (lifted_heads, lifted_negated, all_rows)
     fn = shape.row_fns.get(key)
     if fn is None:
         fn = shape.row_fns[key] = _generate(
-            shape, False, heads=lifted, all_rows=all_rows
+            shape, heads=lifted_heads, negated=lifted_negated, all_rows=all_rows
         )
     return fn, tuple(consts)
 
@@ -1030,15 +1042,9 @@ def execute_plan(
         for variable, value in partial.items():
             if variable not in pattern_vars:
                 base[variable] = value
-    obs = _obs_current()
     if shape.forced_index is not None:
         forced_facts = _encode_forced(shape, database, forced_facts)
-    if obs is None:
-        fn = shape.assign_fn
-        if fn is None:
-            fn = _generate(shape, instrumented=False)
-        return fn(database, forced_facts, base, partial, plan.consts)
-    fn = shape.assign_instr_fn
+    fn = shape.assign_fn
     if fn is None:
-        fn = _generate(shape, instrumented=True)
-    return fn(database, forced_facts, base, partial, plan.consts, obs)
+        fn = _generate(shape)
+    return fn(database, forced_facts, base, partial, plan.consts)

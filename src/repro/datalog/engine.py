@@ -11,6 +11,12 @@ in the previous iteration) while the remaining atoms match the full
 database.  Negated literals always refer to lower strata (or EDB), whose
 extensions are already final, so a simple absence check is sound.
 
+Every rule fires through one path, negated or not, observed or not: the
+compiled ID-space rule executors of :func:`repro.core.plan.derive_rule_rows`,
+which stage encoded head rows and check negated atoms against the
+relations' row sets.  ``REPRO_NAIVE_JOIN=1`` and over-long bodies run on
+the reference interpreter inside that function.
+
 The semi-naive loop (:func:`seminaive`) is also the Datalog phase of the
 restricted chase (:mod:`repro.chase.runner`).  There it starts from a
 *seed* — the atoms an existential pass added to a database already
@@ -28,12 +34,9 @@ from collections import defaultdict
 from contextlib import nullcontext
 from typing import Callable, Optional
 
-from ..core.atoms import Atom
 from ..core.database import Database
-from ..core.homomorphism import _naive_requested, homomorphisms
 from ..core.plan import derive_rule_rows
 from ..core.store import ColumnDelta
-from ..core.rules import Rule
 from ..core.terms import Constant
 from ..core.theory import Query, Theory
 from ..obs.runtime import current as _obs_current
@@ -57,25 +60,6 @@ def _check_program(program: Theory) -> None:
             )
 
 
-def _negation_satisfied(rule: Rule, assignment, database: Database) -> bool:
-    for negated in rule.negative_body():
-        if negated.atom.substitute(assignment) in database:
-            return False
-    return True
-
-
-def _fire(
-    rule: Rule,
-    assignment,
-    database: Database,
-    new_atoms: set[Atom],
-) -> None:
-    for atom in rule.head:
-        grounded = atom.substitute(assignment)
-        if grounded not in database:
-            new_atoms.add(grounded)
-
-
 def _tick(
     governor: Optional[ResourceGovernor],
     iterations: int,
@@ -89,34 +73,21 @@ def _tick(
     return None
 
 
-def _ingest_mixed(
-    database: Database, staged: dict, delta: set[Atom]
-) -> tuple[dict, int]:
-    """Add one iteration's derivations: staged ID rows (from the
-    row-path rule executors) and boxed atoms (from the assignment path).
+def _ingest(database: Database, staged: dict) -> tuple[dict, int]:
+    """Add one iteration's staged ID rows.
 
-    Marks every touched relation before mutating, applies both payloads
-    (each deduplicates against the relation), and returns the new delta
-    — relation key → first new row ordinal, for the relations that grew
-    — plus the number of genuinely new facts.  Rows are append-only and
-    deduplicated, so the facts added this iteration are exactly the
-    ordinals ``[mark, n_rows)`` of each touched relation."""
-    marks: dict = {}
-    for key in staged:
-        marks[key] = database.relation_size(key)
-    for atom in delta:
-        key = atom.relation_key
-        if key not in marks:
-            marks[key] = database.relation_size(key)
+    Returns the new delta — relation key → first new row ordinal, for
+    the relations that grew — plus the number of genuinely new facts.
+    Rows are append-only and deduplicated, so the facts added this
+    iteration are exactly the ordinals ``[mark, n_rows)`` of each
+    touched relation."""
+    marks = {key: database.relation_size(key) for key in staged}
     added = 0
     add_row = database._add_row
     for key, rows in staged.items():
         for row in rows:
             if add_row(key, row):
                 added += 1
-    for atom in delta:
-        if database.add(atom):
-            added += 1
     grown = {
         key: mark
         for key, mark in marks.items()
@@ -142,68 +113,43 @@ def delta_groups(database: Database, delta: dict) -> dict[str, list]:
     return groups
 
 
-def _prepare(rules, obs, pinnable) -> list[tuple]:
-    """Per rule: the rule, its positive body and head tuples, whether it
-    fires through a compiled ID-space executor, and its *pins* — the
-    ``(index, relation)`` of the body atoms whose relation is in
-    ``pinnable``, the ones a delta can pin.
+def _prepare(rules, pinnable) -> list[tuple]:
+    """Per rule: its positive body, head and negated-atom tuples, and its
+    *pins* — the ``(index, relation)`` of the body atoms whose relation
+    is in ``pinnable``, the ones a delta can pin.
 
-    Bodies are computed once per loop: the same tuple objects feed every
-    iteration, so the join-plan cache is keyed stably.  Negation-free
-    rules fire through compiled ID-space executors: head rows are staged
-    encoded, and nothing is boxed until a caller decodes.  Negation
-    rules (they must consult the boxed membership of lower strata
-    mid-match), instrumented runs, and REPRO_NAIVE_JOIN reference runs
-    keep the assignment path."""
-    row_path = obs is None and not _naive_requested()
+    Tuples are computed once per loop: the same objects feed every
+    iteration, so the join-plan cache is keyed stably."""
     prepared = []
     for rule in rules:
         body = tuple(rule.positive_body())
-        use_rows = row_path and not rule.negative_body()
+        negated = tuple(literal.atom for literal in rule.negative_body())
         pins = [
             (index, atom.relation)
             for index, atom in enumerate(body)
             if atom.relation in pinnable
         ]
-        prepared.append((rule, body, tuple(rule.head), use_rows, pins))
+        prepared.append((body, tuple(rule.head), negated, pins))
     return prepared
 
 
-def _derive(
-    prepared: list[tuple], database: Database, groups: Optional[dict]
-) -> tuple[dict, set[Atom]]:
-    """One iteration's derivations, not yet added: staged head rows and
-    boxed head atoms absent from ``database``.  ``groups=None`` fires
-    every rule against the full database; otherwise each rule fires
-    once per pin whose relation has delta rows, with that atom pinned
-    to them."""
+def _derive(prepared: list[tuple], database: Database, groups: Optional[dict]) -> dict:
+    """One iteration's derivations, not yet added: head rows absent from
+    ``database``, staged per relation key.  ``groups=None`` fires every
+    rule against the full database; otherwise each rule fires once per
+    pin whose relation has delta rows, with that atom pinned to them."""
     staged: dict = {}
-    boxed: set[Atom] = set()
-    if groups is None:
-        for rule, body, heads, use_rows, _ in prepared:
-            if use_rows:
-                derive_rule_rows(body, heads, database, None, staged)
-                continue
-            for assignment in homomorphisms(body, database):
-                if _negation_satisfied(rule, assignment, database):
-                    _fire(rule, assignment, database, boxed)
-        return staged, boxed
-    for rule, body, heads, use_rows, pins in prepared:
+    for body, heads, negated, pins in prepared:
+        if groups is None:
+            derive_rule_rows(body, heads, database, None, staged, negated)
+            continue
         for index, relation in pins:
             candidates = groups.get(relation)
-            if not candidates:
-                continue
-            if use_rows:
+            if candidates:
                 derive_rule_rows(
-                    body, heads, database, (index, candidates), staged
+                    body, heads, database, (index, candidates), staged, negated
                 )
-                continue
-            for assignment in homomorphisms(
-                body, database, forced=(index, candidates)
-            ):
-                if _negation_satisfied(rule, assignment, database):
-                    _fire(rule, assignment, database, boxed)
-    return staged, boxed
+    return staged
 
 
 def seminaive(
@@ -235,15 +181,14 @@ def seminaive(
     pinnable = {atom.relation for rule in rules for atom in rule.head}
     if delta:
         pinnable.update(key[0] for key in delta)
-    prepared = _prepare(rules, obs, pinnable)
+    prepared = _prepare(rules, pinnable)
     added = 0
     while True:
         reason = tick(added)
         if reason is not None:
             return reason, delta
         groups = None if delta is None else delta_groups(database, delta)
-        staged, boxed = _derive(prepared, database, groups)
-        delta, added = _ingest_mixed(database, staged, boxed)
+        delta, added = _ingest(database, _derive(prepared, database, groups))
         if obs is not None:
             obs.observe("delta_size", added)
             obs.inc("atoms_derived", added)
@@ -251,22 +196,19 @@ def seminaive(
             return None, None
 
 
-def derivations(
-    rules, database: Database, delta: Optional[dict]
-) -> tuple[dict, set[Atom]]:
+def derivations(rules, database: Database, delta: Optional[dict]) -> dict:
     """The derivations of one :func:`seminaive` iteration from
-    ``delta``, without adding them: staged head rows (relation key →
-    encoded rows) and boxed head atoms, all absent from ``database``.
-    Unlike :func:`seminaive`, a delta pins body atoms of any relation."""
+    ``delta``, without adding them: head rows absent from ``database``,
+    staged per relation key as encoded rows.  Unlike :func:`seminaive`,
+    a delta pins body atoms of any relation."""
     groups = None if delta is None else delta_groups(database, delta)
-    return _derive(_prepare(rules, None, groups or ()), database, groups)
+    return _derive(_prepare(rules, groups or ()), database, groups)
 
 
 def would_derive(rules, database: Database, delta: Optional[dict]) -> bool:
     """Would the next :func:`seminaive` iteration from ``delta`` derive a
     new fact?  Runs that iteration without adding anything."""
-    staged, boxed = derivations(rules, database, delta)
-    return bool(boxed) or any(staged.values())
+    return any(derivations(rules, database, delta).values())
 
 
 def _evaluate_stratum(
@@ -303,29 +245,19 @@ def _evaluate_stratum_naive(
     database until nothing changes.  Quadratically slower than semi-naive
     on recursive programs — kept for the ablation benchmark and as a
     correctness oracle."""
-    changed = True
+    prepared = _prepare(stratum, ())
     iterations = 0
-    while changed:
+    while True:
         iterations += 1
         reason = _tick(governor, iterations, max_iterations)
         if reason is not None:
             return reason
-        changed = False
-        new_atoms: set[Atom] = set()
-        for rule in stratum:
-            body = tuple(rule.positive_body())
-            for assignment in homomorphisms(body, database):
-                if _negation_satisfied(rule, assignment, database):
-                    _fire(rule, assignment, database, new_atoms)
-        added = 0
-        for atom in new_atoms:
-            if database.add(atom):
-                changed = True
-                added += 1
+        grown, added = _ingest(database, _derive(prepared, database, None))
         if obs is not None:
             obs.observe("delta_size", added)
             obs.inc("atoms_derived", added)
-    return None
+        if not grown:
+            return None
 
 
 def try_evaluate(

@@ -1,7 +1,8 @@
 """``repro.obs`` — structured tracing, counters, and per-phase metrics.
 
-A zero-overhead-when-disabled instrumentation layer for the chase, the
-Datalog engine, the homomorphism search, and the translation pipeline:
+An instrumentation layer for the chase, the Datalog engine, the
+homomorphism search, and the translation pipeline that never changes
+which code runs:
 
 * :class:`Tracer` / :class:`Span` — nested phase timing
   (``perf_counter``-based);

@@ -5,8 +5,10 @@ are instrumented against *this* module, not against a tracer passed down
 through every call: each hot path asks :func:`current` once per run and
 does nothing when it returns ``None``.  That makes instrumentation
 
-* **zero-overhead when disabled** — the only cost is one ``ContextVar``
-  read per engine entry point plus ``if obs is not None`` checks, and
+* **observation-neutral** — an observed run executes the same engine
+  code as an unobserved one and only records more; when disabled the
+  only cost is one ``ContextVar`` read per engine entry point plus
+  ``if obs is not None`` checks, and
 * **API-neutral** — no engine signature changed; activating observation
   is a ``with instrumented(): ...`` block around existing code.
 

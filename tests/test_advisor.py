@@ -104,6 +104,16 @@ class TestEngines:
         assert engines["datalog"] == ENGINE_COMPLETE
         assert engines["chase"] == ENGINE_TERMINATES
 
+    def test_stratified_negation_is_datalog(self):
+        advice = advise(parse_theory(DATALOG + "\nN(x), not T(x,x) -> Acyc(x)"))
+        assert advice.engines["datalog"] == ENGINE_COMPLETE
+        assert advice.recommended == "datalog"
+
+    def test_unstratified_negation_is_not_datalog(self):
+        advice = advise(parse_theory(DATALOG + "\nE(x,y), not T(y,x) -> T(x,x)"))
+        assert advice.engines["datalog"] == ENGINE_NOT_APPLICABLE
+        assert advice.recommended != "datalog"
+
     def test_guarded_loop(self):
         engines = advise(parse_theory(LOOP)).engines
         assert engines["datalog"] == ENGINE_NOT_APPLICABLE

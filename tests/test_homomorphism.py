@@ -1,5 +1,7 @@
 """Unit tests for the homomorphism search."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core.atoms import Atom
@@ -13,8 +15,9 @@ from repro.core.homomorphism import (
     satisfies_rule,
 )
 from repro.core.parser import parse_database, parse_rule
-from repro.core.plan import MAX_COMPILED_ATOMS
+from repro.core.plan import MAX_COMPILED_ATOMS, clear_plan_cache, plan_cache_stats
 from repro.core.terms import Constant, Null, Variable
+from repro.obs import instrumented
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 A, B, C = Constant("a"), Constant("b"), Constant("c")
@@ -55,20 +58,35 @@ class TestBasicMatching:
         )
         assert len(homs) == 1 and homs[0][Y] == C
 
-    def test_pattern_longer_than_the_compile_limit(self):
-        # One nested loop per atom would pass Python's limit of 20
-        # statically nested blocks; such patterns take the interpreter.
-        n = MAX_COMPILED_ATOMS + 6
-        db = Database(
-            Atom("E", (Constant(f"c{i}"), Constant(f"c{i + 1}")))
-            for i in range(n)
-        )
-        path = [Atom("E", (Variable(f"v{i}"), Variable(f"v{i + 1}"))) for i in range(n)]
-        (hom,) = homomorphisms(path, db)
-        assert hom[Variable(f"v{n}")] == Constant(f"c{n}")
-        nulls = Database(Atom("E", (Null(f"n{i}"), Null(f"n{i + 1}"))) for i in range(n))
-        assert databases_homomorphically_equivalent(nulls, db) is False
-        assert database_homomorphism(nulls, db) is not None
+    def test_pattern_longer_than_the_compile_limit(self, monkeypatch):
+        # One nested loop per atom: Python's limit of 20 statically
+        # nested blocks caps compiled patterns at MAX_COMPILED_ATOMS, and
+        # longer ones take the interpreter, observed or not.
+        monkeypatch.delenv("REPRO_NAIVE_JOIN", raising=False)
+        for n in (MAX_COMPILED_ATOMS, MAX_COMPILED_ATOMS + 1, MAX_COMPILED_ATOMS + 6):
+            for observed in (False, True):
+                db = Database(
+                    Atom("E", (Constant(f"c{i}"), Constant(f"c{i + 1}")))
+                    for i in range(n)
+                )
+                path = [
+                    Atom("E", (Variable(f"v{i}"), Variable(f"v{i + 1}")))
+                    for i in range(n)
+                ]
+                nulls = Database(
+                    Atom("E", (Null(f"n{i}"), Null(f"n{i + 1}"))) for i in range(n)
+                )
+                clear_plan_cache()
+                codegen = plan_cache_stats()["codegen"]
+                with instrumented() if observed else nullcontext():
+                    (hom,) = homomorphisms(path, db)
+                    equivalent = databases_homomorphically_equivalent(nulls, db)
+                    image = database_homomorphism(nulls, db)
+                compiled = plan_cache_stats()["codegen"] > codegen
+                assert compiled == (n <= MAX_COMPILED_ATOMS)
+                assert hom[Variable(f"v{n}")] == Constant(f"c{n}")
+                assert equivalent is False
+                assert image is not None
 
     def test_first_homomorphism_none(self):
         assert first_homomorphism([Atom("Z", (X,))], self.db) is None

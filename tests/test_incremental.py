@@ -48,28 +48,29 @@ def fresh_eval(program, edb):
 
 class TestLongRuleBodies:
     def test_body_longer_than_the_compile_limit(self):
-        # The body is too long for a generated executor, so it runs on
-        # the interpreter in insert propagation, overdeletion and the
-        # support recount alike.
-        n = MAX_COMPILED_ATOMS + 6
-        body = ", ".join(f"e(v{i}, v{i + 1})" for i in range(n))
-        program = parse_theory(f"{body} -> p(v0, v{n})")
-        edb = set(atoms(*(f"e(c{i}, c{i + 1})" for i in range(n))))
-        live = LiveModel(program, parse_database(
-            "\n".join(f"{atom}." for atom in sorted(edb))
-        ))
-        assert live.mode == "counting"
-        assert live.answers("p") == {(Constant("c0"), Constant(f"c{n}"))}
-        inserted = atoms(f"e(c{n}, c{n + 1})")
-        live.apply(inserts=inserted)
-        edb.update(inserted)
-        assert model_atoms(live.model) == fresh_eval(program, edb)
-        assert len(live.answers("p")) == 2
-        retracted = atoms("e(c0, c1)")
-        live.apply(retracts=retracted)
-        edb.difference_update(retracted)
-        assert model_atoms(live.model) == fresh_eval(program, edb)
-        assert live.answers("p") == {(Constant("c1"), Constant(f"c{n + 1}"))}
+        # A body of MAX_COMPILED_ATOMS atoms runs compiled; a longer one
+        # is too long for a generated executor, so it runs on the
+        # interpreter in insert propagation, overdeletion and the support
+        # recount alike.
+        for n in (MAX_COMPILED_ATOMS, MAX_COMPILED_ATOMS + 1, MAX_COMPILED_ATOMS + 6):
+            body = ", ".join(f"e(v{i}, v{i + 1})" for i in range(n))
+            program = parse_theory(f"{body} -> p(v0, v{n})")
+            edb = set(atoms(*(f"e(c{i}, c{i + 1})" for i in range(n))))
+            live = LiveModel(program, parse_database(
+                "\n".join(f"{atom}." for atom in sorted(edb))
+            ))
+            assert live.mode == "counting"
+            assert live.answers("p") == {(Constant("c0"), Constant(f"c{n}"))}
+            inserted = atoms(f"e(c{n}, c{n + 1})")
+            live.apply(inserts=inserted)
+            edb.update(inserted)
+            assert model_atoms(live.model) == fresh_eval(program, edb)
+            assert len(live.answers("p")) == 2
+            retracted = atoms("e(c0, c1)")
+            live.apply(retracts=retracted)
+            edb.difference_update(retracted)
+            assert model_atoms(live.model) == fresh_eval(program, edb)
+            assert live.answers("p") == {(Constant("c1"), Constant(f"c{n + 1}"))}
 
 
 class TestCountingInsert:

@@ -20,9 +20,10 @@ from repro.core import (
     naive_homomorphisms,
     plan_cache_stats,
 )
-from repro.core.parser import parse_database
+from repro.core.parser import parse_database, parse_theory
 from repro.core.terms import Null
 from repro.core.theory import ACDOM
+from repro.datalog import evaluate
 from repro.obs import instrumented
 
 X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
@@ -286,12 +287,16 @@ class TestEscapeHatch:
     def test_env_routes_to_interpreter(self, monkeypatch):
         db = parse_database("E(a,b). E(b,c).")
         pattern = (Atom("E", (X, Y)), Atom("E", (Y, Z)))
+        program = parse_theory("E(x,y), E(y,z), not E(z,x) -> P(x,z)")
         expected = canon(homomorphisms(pattern, db))
+        model = set(evaluate(program, db))
         clear_plan_cache()
         monkeypatch.setenv("REPRO_NAIVE_JOIN", "1")
         misses = plan_cache_stats()["misses"]
         assert canon(homomorphisms(pattern, db)) == expected
-        # the interpreter path never consults the plan cache
+        assert set(evaluate(program, db)) == model
+        # the interpreter path never consults the plan cache, and the
+        # Datalog rule executors take it too
         assert plan_cache_stats()["misses"] == misses
 
     def test_zero_means_compiled(self, monkeypatch):

@@ -36,6 +36,10 @@ WG_ONLY = parse_theory("R(x,y), S(y,z) -> exists w. R(z,w), S(w,x)")
 UNCLASSIFIED = parse_theory(
     "A(x), B(y) -> exists z. R(x,y,z)\nR(x,y,z) -> A(z)\nR(x,y,z) -> B(z)"
 )
+#: Stratified negation: ``Acyc`` reads the finished ``T``.
+ACYCLIC = parse_theory(
+    "E(x,y) -> T(x,y)\nE(x,y), T(y,z) -> T(x,z)\nN(x), not T(x,x) -> Acyc(x)"
+)
 
 
 class TestStrategyChoice:
@@ -44,6 +48,13 @@ class TestStrategyChoice:
             plan = plan_answering(theory)
             assert plan.strategy == advise(theory).recommended
             assert plan.fallback is None
+
+    def test_auto_answers_stratified_negation_with_datalog(self):
+        plan = plan_answering(ACYCLIC)
+        assert plan.strategy == "datalog"
+        db = parse_database("E(a,b). E(b,a). E(c,d). N(a). N(c).")
+        answers = answer_query(Query(ACYCLIC, "Acyc"), db)
+        assert answers == {(Constant("c"),)}
 
     def test_forced_chase_runs_no_advisor_and_no_translation(self):
         with instrumented() as instr:

@@ -5,7 +5,7 @@
   ``atoms_matching``) must agree with a plain ``set[Atom]`` model.
 * The row-executor Datalog fixpoint must equal the same program run on
   the naive homomorphism interpreter (``REPRO_NAIVE_JOIN=1``), which
-  takes the boxed assignment path throughout.
+  matches boxed atoms and checks negated literals by boxed membership.
 * Snapshots must round-trip to an equal database.
 
 Join and chase results on the store are held to the naive interpreter
@@ -17,7 +17,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Atom, Constant, Database, Null, Theory
+from repro.core import Atom, Constant, Database, NegatedAtom, Null, Rule, Theory, Variable
 from repro.core.store import load_snapshot, save_snapshot
 from repro.datalog import evaluate
 from repro.bench.generators import (
@@ -92,6 +92,14 @@ class TestFacadeAgreement:
                 ) == model_matching(model, probe.relation_key, bindings)
 
 
+def assert_agrees_with_interpreter(program: Theory, database: Database) -> None:
+    rows = evaluate(program, database)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_NAIVE_JOIN", "1")
+        naive = evaluate(program, database)
+    assert set(rows) == set(naive)
+
+
 class TestEngineAgreement:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -103,11 +111,38 @@ class TestEngineAgreement:
             rng, signature, n_rules=4, existential_probability=0.0
         )
         program = Theory([rule for rule in theory if rule.is_datalog()])
-        rows = evaluate(program, database)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_NAIVE_JOIN", "1")
-            naive = evaluate(program, database)
-        assert set(rows) == set(naive)
+        assert_agrees_with_interpreter(program, database)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_negated_fixpoints_agree(self, seed):
+        # The generated negation check probes encoded row sets; the
+        # interpreter checks boxed membership.
+        rng = random.Random(seed)
+        signature = random_signature(rng, n_relations=3, max_arity=2)
+        database = random_database(rng, signature, n_constants=5, n_atoms=10)
+        constants = [Constant(f"c{i}") for i in range(5)]
+        for _ in range(6):
+            database.add(Atom("Q", (rng.choice(constants), rng.choice(constants))))
+        theory = random_guarded_theory(
+            rng, signature, n_rules=4, existential_probability=0.0
+        )
+        rules = [rule for rule in theory if rule.is_datalog()]
+        relations = signature.relations()
+        for index in range(4):
+            guard_relation, other = rng.choice(relations), rng.choice(relations)
+            xs = [Variable(f"x{i}") for i in range(signature.arity(guard_relation))]
+            x, y = rng.choice(xs), rng.choice(xs)
+            negated = [
+                Atom("Q", (x, y)),
+                Atom("Q", (x, x)),  # a repeated variable
+                Atom("Q", (x, Constant("absent"))),  # a constant in no fact
+                # a relation the random rules may derive (a lower stratum)
+                Atom(other, tuple(rng.choice(xs) for _ in range(signature.arity(other)))),
+            ][index]
+            body = (Atom(guard_relation, tuple(xs)), NegatedAtom(negated))
+            rules.append(Rule(body, (Atom(f"N{index}", (x, y)),)))
+        assert_agrees_with_interpreter(Theory(rules), database)
 
 
 class TestSnapshotRoundTripProperty:
