@@ -155,11 +155,20 @@ def advise(
             estimate = estimate_chase_cost(theory)
         cost = estimate.to_dict() if estimate is not None else None
 
-        datalog_ok = labels.datalog and (
-            not theory.has_negation() or is_stratified(theory)
+        # Only the Datalog engine evaluates negation: the chase and the
+        # saturation behind both class translations take positive rules.
+        negation = theory.has_negation()
+        datalog_ok = labels.datalog and (not negation or is_stratified(theory))
+        translate_ok = not negation and (
+            labels.nearly_guarded or labels.nearly_frontier_guarded
         )
-        translate_ok = labels.nearly_guarded or labels.nearly_frontier_guarded
-        wfg_ok = labels.weakly_guarded or labels.weakly_frontier_guarded
+        wfg_ok = not negation and (
+            labels.weakly_guarded or labels.weakly_frontier_guarded
+        )
+        if negation:
+            chase_verdict = ENGINE_NOT_APPLICABLE
+        else:
+            chase_verdict = ENGINE_TERMINATES if terminates else ENGINE_BUDGETED
         engines = {
             "datalog": ENGINE_COMPLETE if datalog_ok else ENGINE_NOT_APPLICABLE,
             "translate": (
@@ -168,7 +177,7 @@ def advise(
             "wfg-pipeline": (
                 ENGINE_COMPLETE if wfg_ok else ENGINE_NOT_APPLICABLE
             ),
-            "chase": ENGINE_TERMINATES if terminates else ENGINE_BUDGETED,
+            "chase": chase_verdict,
         }
         reasons: list[str] = []
         if terminates:
@@ -183,6 +192,13 @@ def advise(
             reasons.append(
                 "Datalog with at most stratified negation: semi-naive "
                 "fixpoint is complete with no translation"
+            )
+        elif negation:
+            # Every engine is not-applicable: the planner refuses the
+            # theory, so the ladder's last resort is only a placeholder.
+            recommended = "chase"
+            reasons.append(
+                "negation outside stratified Datalog: no engine applies"
             )
         elif terminates:
             recommended = "chase"

@@ -302,7 +302,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .service.server import ServiceConfig, serve
+    from .service.server import ReasoningServer, ServiceConfig
 
     theory_text = None
     if args.theory is not None:
@@ -312,7 +312,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     database_text = ""
     if args.data is not None:
         database_text = Path(args.data).read_text()
-        parse_database(database_text)
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -335,13 +334,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_traces=args.slow_traces,
         snapshot_dir=args.snapshot_dir,
     )
+    # The server parses the default database once, here, before it binds.
+    server = ReasoningServer(config)
     print(
         f"repro {__version__} serving on {config.host}:{config.port} "
         f"(ops on :{config.http_port if config.http_port is not None else config.port + 1}, "
         f"{config.workers} workers)",
         file=sys.stderr,
     )
-    asyncio.run(serve(config))
+    asyncio.run(server.run())
     print("repro serve: drained cleanly", file=sys.stderr)
     return EXIT_OK
 

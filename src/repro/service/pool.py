@@ -81,7 +81,8 @@ from typing import Any, Callable, Optional
 
 import multiprocessing as mp
 
-from .registry import REQUESTABLE_STRATEGIES, TheoryRegistry
+from ..core.database import Database
+from .registry import REQUESTABLE_STRATEGIES, TheoryRegistry, UnknownDatabase
 
 __all__ = [
     "NoLiveWorkers",
@@ -144,12 +145,18 @@ class PoolConfig:
 # worker side (runs in the child process)
 # ----------------------------------------------------------------------
 def run_job(registry: TheoryRegistry, job: dict, *, allow_faults: bool) -> dict:
-    """Execute one query/register job against the worker's registry.
+    """Execute one register/query/update job against the worker's registry.
 
     Returns the response payload (without the envelope ``id``).  Every
     failure mode is a structured error dict — this function must never
     raise, because an escaped exception would take down the worker and
     turn one bad request into a crash-recovery event.
+
+    A query or update names its database either by text (``database``,
+    parsed and hashed here, counted in the ``db_parses`` stat) or by
+    content hash alone (``db_key``).  A key the registry holds nothing
+    for answers the ``unknown_db`` error before any state changes; the
+    server then resends the job with the text.
 
     When the job carries ``trace: true`` the engine work runs under a
     fresh ambient :func:`~repro.obs.runtime.instrumented` scope and the
@@ -202,6 +209,7 @@ def _run_job_inner(registry: TheoryRegistry, job: dict, *, allow_faults: bool) -
     plan_before = plan_cache_stats()
     registry_before = registry.stats()
     incremental_before = incremental_stats()
+    db_parses = 0
 
     def stats(extra: Optional[dict] = None) -> dict:
         plan_after = plan_cache_stats()
@@ -209,6 +217,7 @@ def _run_job_inner(registry: TheoryRegistry, job: dict, *, allow_faults: bool) -
         incremental_after = incremental_stats()
         payload = {
             "elapsed_ms": round((time.perf_counter() - started) * 1e3, 3),
+            "db_parses": db_parses,
             "registry_hits": registry_after["hits"] - registry_before["hits"],
             "registry_misses": registry_after["misses"] - registry_before["misses"],
             "registry_evictions": registry_after["evictions"]
@@ -248,6 +257,19 @@ def _run_job_inner(registry: TheoryRegistry, job: dict, *, allow_faults: bool) -
             "error": {"code": code, "message": message},
             "stats": stats(),
         }
+
+    def named_database() -> tuple[Optional[Database], str]:
+        """The job's database and its key: parsed from the text when the
+        job carries one, else ``None`` and the key the job names."""
+        nonlocal db_parses
+        if "db_key" in job:
+            return None, job["db_key"]
+        db_parses += 1
+        database = parse_database(job.get("database", ""))
+        # Structural content hash, memoized on the store: equal fact
+        # sets share one materialization regardless of database-text
+        # formatting.
+        return database, database.content_hash()
 
     try:
         kind = job.get("kind", "query")
@@ -296,9 +318,11 @@ def _run_job_inner(registry: TheoryRegistry, job: dict, *, allow_faults: bool) -
             )
             if kind == "register":
                 return {"ok": True, **compiled.describe(), "stats": stats()}
+            budget = ChaseBudget(
+                max_steps=job.get("max_steps") or 100_000,
+                max_depth=job.get("max_depth"),
+            )
             if kind == "update":
-                database = parse_database(job.get("database", ""))
-                old_key = database.content_hash()
                 inserts = [
                     parse_atom(text, data_mode=True)
                     for text in job.get("insert", ())
@@ -307,18 +331,9 @@ def _run_job_inner(registry: TheoryRegistry, job: dict, *, allow_faults: bool) -
                     parse_atom(text, data_mode=True)
                     for text in job.get("retract", ())
                 ]
-                budget = ChaseBudget(
-                    max_steps=job.get("max_steps") or 100_000,
-                    max_depth=job.get("max_depth"),
-                )
-                new_key, ustats, live = compiled.update(
+                database, old_key = named_database()
+                new_key, ustats, _ = compiled.update(
                     database, inserts, retracts, db_key=old_key, budget=budget
-                )
-                # The post-update database rendered back as data text:
-                # the server's authoritative live copy (structural
-                # hashing makes the round-trip key-stable).
-                rendered = "\n".join(
-                    f"{atom}." for atom in sorted(live.edb)
                 )
                 return {
                     "ok": True,
@@ -327,18 +342,9 @@ def _run_job_inner(registry: TheoryRegistry, job: dict, *, allow_faults: bool) -
                     "db_key": new_key,
                     "old_db_key": old_key,
                     "update": ustats.to_dict(),
-                    "database": rendered,
                     "stats": stats(),
                 }
-            database = parse_database(job.get("database", ""))
-            # Structural content hash, memoized on the store: equal fact
-            # sets share one materialization regardless of database-text
-            # formatting, and repeated lookups don't re-hash.
-            db_key = database.content_hash()
-            budget = ChaseBudget(
-                max_steps=job.get("max_steps") or 100_000,
-                max_depth=job.get("max_depth"),
-            )
+            database, db_key = named_database()
             outcome = compiled.answer(
                 database, job["output"], budget=budget, db_key=db_key
             )
@@ -369,6 +375,9 @@ def _run_job_inner(registry: TheoryRegistry, job: dict, *, allow_faults: bool) -
             "sound": True,
             "stats": stats(),
         }
+    except UnknownDatabase as exc:
+        # Nothing changed: the server resends the job with the text.
+        return failure(protocol.ERR_UNKNOWN_DB, str(exc))
     except ParseError as exc:
         return failure(protocol.ERR_PARSE, str(exc))
     except (InvalidTheoryError, InvalidRequestError) as exc:
@@ -549,7 +558,8 @@ class WorkerPool:
         the server's sticky affinity for live (incrementally updated)
         databases, whose in-memory state lives on exactly one worker.
         A dead preference silently falls back to least-loaded (the
-        replacement rebuilds the live model from the shipped text)."""
+        replacement misses the live database's key, and the server
+        resends the job with the database text)."""
         now = time.monotonic()
         with self._lock:
             live = [

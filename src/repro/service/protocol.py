@@ -26,16 +26,18 @@ JSON value; echoed verbatim on the response so clients may pipeline):
     Certain answers for an output relation.  The theory is named by
     ``theory`` (a content hash from ``register``), supplied inline as
     ``theory_text``, or defaulted to the theory the server was started
-    with; the database likewise via ``database`` (data text) or the
-    server default.  ``timeout`` (seconds), ``max_steps`` and
-    ``max_depth`` bound the run per-request.  Answers carry
+    with.  The database is ``database`` (data text) when the request
+    carries one, else the theory's live database: the server default,
+    as advanced by every ``update``.  ``timeout`` (seconds),
+    ``max_steps`` and ``max_depth`` bound the run per-request.  Answers carry
     ``answers`` (sorted lists of constant names), ``complete``, and —
     when a budget tripped — the machine-readable ``exhausted`` reason;
     a partial answer set is *sound* (every tuple is a certain answer).
 
 ``{"op": "status"}``
     Operational snapshot: queue depth, worker liveness, registry and
-    admission counters.
+    admission counters, database texts workers parsed (``db_parses``)
+    and jobs resent with text (``db_resends``, see below).
 
 ``{"op": "update", "insert": [...], "retract": [...], …}``
     Mutate the live database of a theory (named like ``query``: by
@@ -47,7 +49,9 @@ JSON value; echoed verbatim on the response so clients may pipeline):
     Answers the new database content hash (``db_key``), the previous
     one (``old_db_key``) and the per-update maintenance statistics
     under ``update`` (mode taken, rows added/removed, fallback reason
-    when the engine had to recompute).
+    when the engine had to recompute).  The reply carries no database:
+    the server applies the batch to its own copy of the live database.
+    Updates of one theory run one at a time.
 
 ``{"op": "subscribe", "output": "Q", …}``
     Register a continuous query on *this connection*: answers the
@@ -61,6 +65,14 @@ JSON value; echoed verbatim on the response so clients may pipeline):
     Event lines carry ``event`` instead of ``id`` — a client reading a
     subscribed connection must dispatch on that field.  Subscriptions
     die with their connection.
+
+The server names a live database to its workers by content hash, not
+by text.  A worker that holds no model for the key (after a respawn, an
+eviction or a recompile, or one that never saw the database) replies
+``unknown_db`` before it changes any state; the server resends the job
+once with the text rendered from its copy, so a resent request is
+answered on the live database at resend time.  ``unknown_db`` is
+internal to server and workers and never reaches a client.
 
 Trace context
 -------------
@@ -129,6 +141,7 @@ __all__ = [
     "ERR_WORKER_CRASHED",
     "ERR_ENGINE",
     "ERR_INTERNAL",
+    "ERR_UNKNOWN_DB",
     "encode",
     "decode",
     "error_response",
@@ -163,6 +176,10 @@ ERR_DRAINING = "draining"
 ERR_WORKER_CRASHED = "worker_crashed"
 ERR_ENGINE = "engine_error"
 ERR_INTERNAL = "internal_error"
+#: Worker-to-server only: the job named its database by a key the
+#: worker holds nothing for.  The server resends the job once with the
+#: database text, so no client ever sees this code.
+ERR_UNKNOWN_DB = "unknown_db"
 
 #: Error codes produced by admission control — the response additionally
 #: carries ``shed: true`` and the request never reached a worker.

@@ -29,6 +29,14 @@ database-dependent stages, the plan's ``materialize`` and ``decode``,
 with the registry's caches around them.  Answers honour the ambient
 :class:`~repro.robustness.governor.ResourceGovernor`, so the server's
 per-request deadlines reach every engine without new plumbing.
+
+A request may name its database by content hash alone (``db_key``,
+no database).  A query then resolves the key from the materialization
+LRU, then the live model, then the snapshot file; an update resolves
+it from the live model, then the input database an earlier query
+parsed.  When nothing holds the key the call raises
+:class:`UnknownDatabase` before it changes any state, and the caller
+sends the database itself.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from ..translate.pipeline import (
 )
 
 __all__ = [
+    "UnknownDatabase",
     "STRATEGY_DATALOG",
     "STRATEGY_TRANSLATE",
     "STRATEGY_WFG",
@@ -82,6 +91,16 @@ __all__ = [
 #: (``plan_answering``'s default); ``chase`` forces the budgeted
 #: restricted chase, for operators who know better than the ladder.
 REQUESTABLE_STRATEGIES = ("auto", "chase")
+
+
+class UnknownDatabase(LookupError):
+    """A database named only by its key that no materialization, live
+    model or snapshot holds (a respawned worker, an evicted entry, a
+    recompiled theory, or a worker that never saw the database)."""
+
+    def __init__(self, db_key: Optional[str]) -> None:
+        super().__init__(f"no model held for database {db_key}")
+        self.db_key = db_key
 
 
 def content_hash(text: str) -> str:
@@ -123,6 +142,11 @@ class CompiledTheory:
     #: database content hash; every successful update re-keys the entry
     #: to the post-update hash.  Bounded like the materialization LRU.
     _live: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Input databases queries parsed, keyed by content hash and bounded
+    #: like the LRU: a model's input facts are not recoverable from the
+    #: model, and an update named by key enters live maintenance from
+    #: the kept input.
+    _inputs: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -297,9 +321,30 @@ class CompiledTheory:
                 obs.inc("service.materialize.evictions")
         self._materialized[key] = value
 
+    def _keep_input(self, db_key: Optional[str], database: Database) -> None:
+        if db_key is None:
+            return
+        self._inputs.pop(db_key, None)
+        while len(self._inputs) >= self.materialization_capacity:
+            self._inputs.pop(next(iter(self._inputs)))
+        self._inputs[db_key] = database
+
+    def _resolve(self, db_key: Optional[str]) -> Optional[Database]:
+        """The complete model held for ``db_key``: the materialization
+        LRU, then the live model, then the snapshot file.  ``None``
+        changes no state."""
+        model = self._cache_get(db_key)
+        if model is None:
+            live = self._live.get(db_key)
+            if live is not None:
+                model = live.model
+        if model is None:
+            model = self._snapshot_load(db_key)
+        return model
+
     def answer(
         self,
-        database: Database,
+        database: Optional[Database],
         output: str,
         *,
         budget: Optional[ChaseBudget] = None,
@@ -310,8 +355,10 @@ class CompiledTheory:
         Only database-dependent stages run here; every engine reached
         resolves the ambient governor, so a ``governed()`` scope around
         this call bounds the whole computation.  ``db_key`` (the
-        database text's content hash) enables the materialization cache;
-        pass ``None`` to force a fresh computation.  Returns an
+        database's content hash) enables the materialization cache;
+        pass ``None`` to force a fresh computation.  With ``database``
+        ``None`` the key alone names the database, and a key with no
+        model raises :class:`UnknownDatabase`.  Returns an
         :class:`Outcome` (the chase strategy degrades to sound partials;
         the fixpoint strategies either finish or raise the typed
         exhaustion error, which the caller maps to a partial response).
@@ -321,13 +368,15 @@ class CompiledTheory:
                 f"output relation {output!r} does not occur in the theory"
             )
         plan = self.plan
+        if database is not None:
+            self._keep_input(db_key, database)
         with _obs_span("service.answer", strategy=plan.strategy) as span:
-            model = self._cache_get(db_key)
+            model = self._resolve(db_key)
             if span is not None:
                 span.set(cache_hit=model is not None)
             if model is None:
-                model = self._snapshot_load(db_key)
-            if model is None:
+                if database is None:
+                    raise UnknownDatabase(db_key)
                 self._count("materializations")
                 with _obs_span("service.materialize", strategy=plan.strategy):
                     outcome = plan.materialize(database, budget)
@@ -380,7 +429,7 @@ class CompiledTheory:
 
     def update(
         self,
-        database: Database,
+        database: Optional[Database],
         inserts,
         retracts,
         *,
@@ -390,21 +439,32 @@ class CompiledTheory:
         """Apply one insert/retract batch against ``database``'s live
         model; returns ``(new_db_key, stats, live)``.
 
-        Every cache the pre-update hash owned is re-derived from the
-        post-update hash: the live entry and the materialization LRU
-        slot are re-keyed, and the post-update model is persisted under
-        the new ``{theory}-{db}-{strategy}`` snapshot key — a stale
-        pre-update snapshot can never answer a post-update query,
-        because nothing ever asks for the old key again."""
-        key = db_key if db_key is not None else database.content_hash()
+        With ``database`` ``None``, ``db_key`` must name a live model or
+        a kept input; otherwise :class:`UnknownDatabase` is raised before
+        any state changes.  Every cache the pre-update hash owned is re-derived
+        from the post-update hash: the live entry and the
+        materialization LRU slot are re-keyed, and the post-update model
+        is persisted under the new ``{theory}-{db}-{strategy}`` snapshot
+        key — a stale pre-update snapshot can never answer a post-update
+        query, because nothing ever asks for the old key again."""
+        key = db_key
+        if key is None and database is not None:
+            key = database.content_hash()
         live = self._live.pop(key, None)
         if live is None:
+            if database is None:
+                database = self._inputs.get(key)
+            if database is None:
+                raise UnknownDatabase(key)
             live = self._build_live(database, key, budget=budget)
+        self._inputs.pop(key, None)
+        # The live model mutates the model in place: the pre-update key
+        # must not serve it, even when the batch fails part-way.
+        self._materialized.pop(key, None)
         with _obs_span("service.update", strategy=self.strategy):
             stats = live.apply(inserts, retracts)
         new_key = live.edb.content_hash()
         self._count("updates")
-        self._materialized.pop(key, None)
         while len(self._live) >= self.materialization_capacity:
             self._live.pop(next(iter(self._live)))
         self._live[new_key] = live

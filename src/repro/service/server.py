@@ -49,6 +49,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .. import __version__
+from ..core.atoms import Atom
+from ..core.parser import parse_atom, parse_database, render_atom
 from ..robustness.errors import InternalError
 from ..obs.metrics import MetricsRegistry
 from ..obs.prometheus import render_exposition
@@ -67,6 +69,34 @@ class _Subscription:
     theory_text: str
     output: str
     answers: list = field(default_factory=list)
+
+
+@dataclass
+class _LiveDatabase:
+    """A theory's live database as the server holds it: the content key
+    workers know it by, and its facts, rendered only for a worker that
+    holds nothing under the key."""
+
+    db_key: str
+    facts: set[Atom]
+
+    def copy(self) -> "_LiveDatabase":
+        return _LiveDatabase(self.db_key, set(self.facts))
+
+    def apply(self, inserts: list, retracts: list, db_key: str) -> None:
+        """Advance by one batch a worker applied: retracts first, then
+        inserts, as ``LiveModel.apply`` does; ``db_key`` is the worker's
+        post-update key."""
+        self.facts.difference_update(
+            parse_atom(text, data_mode=True) for text in retracts
+        )
+        self.facts.update(parse_atom(text, data_mode=True) for text in inserts)
+        self.db_key = db_key
+
+    def render(self) -> str:
+        """Data text that parses back to these facts (constants quoted,
+        so every name reads back as the constant it was)."""
+        return "\n".join(f"{render_atom(atom)}." for atom in sorted(self.facts))
 
 __all__ = ["ServiceConfig", "ReasoningServer", "serve"]
 
@@ -95,6 +125,7 @@ _WORKER_STAT_KEYS = (
     "incremental_overdeleted",
     "incremental_rederived",
     "incremental_fallbacks",
+    "db_parses",
 )
 
 #: Per-job stat keys that are absolute gauges (the worker's current
@@ -120,7 +151,8 @@ class ServiceConfig:
     #: Theory text served to queries that name no theory (optional).
     theory_text: Optional[str] = None
     theory_source: str = "<default>"
-    #: Database text used by queries that carry none (optional).
+    #: Initial live database of every theory, for requests that carry
+    #: none (optional).
     database_text: str = ""
     strategy: str = "auto"
     strict: bool = False
@@ -210,9 +242,17 @@ class ReasoningServer:
             self._texts[self._default_hash] = config.theory_text
         self._pending: list[_Job] = []
         self._in_flight: dict[str, _Job] = {}
-        #: theory hash -> {"text", "db_key"}: the authoritative live
-        #: database per theory, advanced by every successful update.
-        self._live_dbs: dict[str, dict] = {}
+        # Parsed and hashed once, before anything binds: a bad database
+        # file fails the start, and no request pays for it again.
+        default = parse_database(config.database_text)
+        #: The live database of every theory no update has touched.
+        self._default_db = _LiveDatabase(default.content_hash(), set(default))
+        #: theory hash -> the authoritative live database of a theory
+        #: some update touched, advanced by every successful update.
+        self._live_dbs: dict[str, _LiveDatabase] = {}
+        #: theory hash -> lock holding that theory's updates to one at a
+        #: time, so each names the key its predecessor produced.
+        self._update_locks: dict[str, asyncio.Lock] = {}
         #: theory hash -> worker id holding that theory's live models
         #: (sticky dispatch; falls back when the worker died).
         self._affinity: dict[str, int] = {}
@@ -509,31 +549,18 @@ class ReasoningServer:
         job = self._in_flight.pop(job_id, None)
         if job is None or job.future.done():
             return
+        self._fold_worker_stats(payload.get("stats"))
+        error = payload.get("error")
+        code = error.get("code") if isinstance(error, dict) else None
+        if code == protocol.ERR_UNKNOWN_DB and "database" not in job.payload:
+            self._resend_with_text(job)
+            return
         if job.trace is not None:
             job.trace.mark("completed")
-            error = payload.get("error")
-            if (
-                isinstance(error, dict)
-                and error.get("code") == protocol.ERR_WORKER_CRASHED
-            ):
+            if code == protocol.ERR_WORKER_CRASHED:
                 job.trace.event(
                     "worker_crashed", message=error.get("message", "")
                 )
-        stats = payload.get("stats")
-        if isinstance(stats, dict):
-            for key in _WORKER_STAT_KEYS:
-                value = stats.get(key)
-                if value:
-                    self.metrics.inc(f"service.worker.{key}", value)
-            for key in _WORKER_GAUGE_KEYS:
-                value = stats.get(key)
-                if value is not None:
-                    self.metrics.gauge(f"service.worker.{key}", value)
-            elapsed = stats.get("elapsed_ms")
-            if elapsed is not None:
-                # Histogram, not a series: constant memory under any
-                # request volume (a series would grow per batch forever).
-                self.metrics.observe_hist("service.worker.elapsed_ms", elapsed)
         if (
             payload.get("ok")
             and job.payload.get("kind") == "register"
@@ -547,6 +574,44 @@ class ReasoningServer:
             }
             self._theories[payload["theory"]] = summary
         job.future.set_result(payload)
+
+    def _resend_with_text(self, job: _Job) -> None:
+        """Answer a worker's ``unknown_db`` miss: queue the job once more,
+        now carrying its theory's live database as text rendered now.
+
+        The worker changed nothing before the miss, so a resent update
+        is applied once.  The trace keeps its first ``dispatched`` mark
+        and takes ``completed`` from the resend: one dispatch phase
+        covers both trips."""
+        live = self._live_for(content_hash(job.theory_text))
+        payload = {key: value for key, value in job.payload.items()
+                   if key != "db_key"}
+        payload["database"] = live.render()
+        job.payload = payload
+        self.metrics.inc("service.db_resends")
+        if job.trace is not None:
+            job.trace.event("unknown_db")
+        self._pending.append(job)
+        assert self._dispatch_wakeup is not None
+        self._dispatch_wakeup.set()
+
+    def _fold_worker_stats(self, stats: Any) -> None:
+        """Fold one worker job's statistics into ``service.worker.*``."""
+        if not isinstance(stats, dict):
+            return
+        for key in _WORKER_STAT_KEYS:
+            value = stats.get(key)
+            if value:
+                self.metrics.inc(f"service.worker.{key}", value)
+        for key in _WORKER_GAUGE_KEYS:
+            value = stats.get(key)
+            if value is not None:
+                self.metrics.gauge(f"service.worker.{key}", value)
+        elapsed = stats.get("elapsed_ms")
+        if elapsed is not None:
+            # Histogram, not a series: constant memory under any
+            # request volume (a series would grow per batch forever).
+            self.metrics.observe_hist("service.worker.elapsed_ms", elapsed)
 
     # ------------------------------------------------------------------
     # query plane
@@ -656,6 +721,10 @@ class ReasoningServer:
             },
             "theories": len(self._texts),
             "live_databases": len(self._live_dbs),
+            # Database texts workers parsed, and jobs resent with text
+            # after a worker's unknown_db miss.
+            "db_parses": self.metrics.counters.get("service.worker.db_parses", 0),
+            "db_resends": self.metrics.counters.get("service.db_resends", 0),
             "subscriptions": len(self._subscriptions),
             "store": {
                 "snapshot_dir": self.config.snapshot_dir,
@@ -833,9 +902,7 @@ class ReasoningServer:
         payload = {
             "kind": "query",
             "output": request["output"],
-            "database": self._live_database_text(
-                content_hash(theory_text), request
-            ),
+            **self._database_of(content_hash(theory_text), request),
             "strategy": request.get("strategy", self.config.strategy),
             "timeout": timeout,
             "max_steps": request.get("max_steps", self.config.default_max_steps),
@@ -851,16 +918,30 @@ class ReasoningServer:
         return self._finish_trace(trace, result, explain=explain)
 
     # -- incremental updates & subscriptions ---------------------------
-    def _live_database_text(self, digest: str, request: dict) -> str:
-        """The base database an update/subscribe applies to: an explicit
-        ``database`` in the request, else the theory's live state, else
-        the server default."""
+    def _live_for(self, digest: str) -> _LiveDatabase:
+        """A theory's live database: advanced by its updates, else the
+        server default."""
+        return self._live_dbs.get(digest, self._default_db)
+
+    def _database_of(self, digest: str, request: dict) -> dict:
+        """How a job names its database: the request's own ``database``
+        text when it carries one, else the theory's live database by
+        key (a worker that holds nothing under the key gets the text in
+        one resend)."""
         if "database" in request:
-            return request["database"]
-        live = self._live_dbs.get(digest)
-        if live is not None:
-            return live["text"]
-        return self.config.database_text
+            return {"database": request["database"]}
+        return {"db_key": self._live_for(digest).db_key}
+
+    def _advance_live(self, digest: str, request: dict, db_key: str) -> None:
+        """Apply an acknowledged update to the server's copy of the
+        theory's live database; a request's own ``database`` re-seeds
+        it."""
+        if "database" in request:
+            live = _LiveDatabase(db_key, set(parse_database(request["database"])))
+        else:
+            live = self._live_dbs.get(digest) or self._default_db.copy()
+        live.apply(request.get("insert", []), request.get("retract", []), db_key)
+        self._live_dbs[digest] = live
 
     async def _op_update(self, request: dict) -> dict:
         request_id = request.get("id")
@@ -881,10 +962,24 @@ class ReasoningServer:
                 ),
             )
         digest = content_hash(theory_text)
+        async with self._update_locks.setdefault(digest, asyncio.Lock()):
+            result = await self._apply_update(request, theory_text, digest, trace)
+        return self._finish_trace(trace, result)
+
+    async def _apply_update(
+        self,
+        request: dict,
+        theory_text: str,
+        digest: str,
+        trace: Optional[RequestTrace],
+    ) -> dict:
+        """One update under its theory's update lock: no other update of
+        the theory moves the live database between the key this job
+        names and the batch reaching the server's copy."""
         timeout = request.get("timeout", self.config.default_timeout)
         payload = {
             "kind": "update",
-            "database": self._live_database_text(digest, request),
+            **self._database_of(digest, request),
             "insert": request.get("insert", []),
             "retract": request.get("retract", []),
             "strategy": request.get("strategy", self.config.strategy),
@@ -896,16 +991,9 @@ class ReasoningServer:
         job = self._admit(payload, theory_text, trace=trace)
         result = await self._await_job(job, timeout=timeout)
         if result.get("ok") and "db_key" in result:
-            # The rendered post-update database is server-side material
-            # (the new authoritative live text), not client payload.
-            new_text = result.pop("database", None)
-            if new_text is not None:
-                self._live_dbs[digest] = {
-                    "text": new_text,
-                    "db_key": result["db_key"],
-                }
+            self._advance_live(digest, request, result["db_key"])
             await self._refresh_subscriptions(digest, result["db_key"])
-        return self._finish_trace(trace, result)
+        return result
 
     async def _op_subscribe(
         self, request: dict, writer: Optional[asyncio.StreamWriter]
@@ -940,7 +1028,7 @@ class ReasoningServer:
         payload = {
             "kind": "query",
             "output": request["output"],
-            "database": self._live_database_text(digest, request),
+            **self._database_of(digest, request),
             "strategy": request.get("strategy", self.config.strategy),
             "timeout": timeout,
             "max_steps": self.config.default_max_steps,
@@ -987,13 +1075,11 @@ class ReasoningServer:
         ]
         if not subs:
             return
-        live = self._live_dbs.get(digest)
-        database_text = live["text"] if live else self.config.database_text
         for sub in subs:
             payload = {
                 "kind": "query",
                 "output": sub.output,
-                "database": database_text,
+                "db_key": db_key,
                 "strategy": self.config.strategy,
                 "timeout": self.config.default_timeout,
                 "max_steps": self.config.default_max_steps,
@@ -1116,6 +1202,12 @@ class ReasoningServer:
             "Updates that fell back to a reported full recompute."
         ),
         "service.worker.elapsed_ms": "Worker-side job latency histogram.",
+        "service.worker.db_parses": (
+            "Database texts parsed by workers (0 per job named by key)."
+        ),
+        "service.db_resends": (
+            "Jobs resent with database text after an unknown_db miss."
+        ),
         "service.worker.advisor_predicted_chase": (
             "Registrations auto-routed to the chase by a termination proof."
         ),

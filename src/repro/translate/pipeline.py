@@ -26,12 +26,18 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..analysis.advisor import ENGINE_COMPLETE, StrategyAdvice, advise
+from ..analysis.advisor import (
+    ENGINE_COMPLETE,
+    ENGINE_NOT_APPLICABLE,
+    StrategyAdvice,
+    advise,
+)
 from ..chase.runner import RESTRICTED, ChaseBudget, chase
 from ..core.database import Database
 from ..core.terms import Constant
 from ..core.theory import Query, Theory
 from ..datalog.engine import answers_in, evaluate
+from ..datalog.stratification import find_negation_cycle
 from ..guardedness.classify import Classification, classify
 from ..guardedness.normalize import normalize
 from ..obs.runtime import current as _obs_current
@@ -161,7 +167,10 @@ def plan_answering(
     Under ``auto`` a ``TranslationError`` or a count ``BudgetExceeded``
     (``max_rules``) falls back to the chase, recorded in ``fallback``
     and counted as ``advisor.fallback``; ``DeadlineExceeded`` and
-    ``Cancelled`` propagate, as they would stop the chase too."""
+    ``Cancelled`` propagate, as they would stop the chase too.  Under
+    ``auto`` and ``translate`` a theory no engine answers (negation
+    outside stratified Datalog) raises :class:`InvalidTheoryError`
+    naming the cycle through negation."""
     if requested not in ("auto", STRATEGY_CHASE, STRATEGY_TRANSLATE):
         raise InvalidRequestError(
             f"unknown strategy {requested!r}; expected auto, chase or translate"
@@ -171,6 +180,8 @@ def plan_answering(
         if advice is None:
             advice = advise(theory, labels=labels)
         strategy = advice.recommended
+        if advice.engines[strategy] == ENGINE_NOT_APPLICABLE:
+            raise _no_engine_error(theory)
         if requested == STRATEGY_TRANSLATE:
             routes = [
                 route
@@ -205,6 +216,24 @@ def plan_answering(
     return AnsweringPlan(
         theory, strategy, requested, program=program, rewriting=rewriting,
         advice=advice, fallback=fallback, saturation_max_rules=saturation_max_rules,
+    )
+
+
+def _no_engine_error(theory: Theory) -> InvalidTheoryError:
+    """Why no engine answers a theory with negation: only the Datalog
+    engine evaluates negation, and only when it is stratified."""
+    cycle = find_negation_cycle(theory)
+    if cycle is None:
+        return InvalidTheoryError(
+            "no answering engine applies: negation is evaluated only in "
+            "stratified Datalog, and this theory has existential rules"
+        )
+    path = " -> ".join([edge[0] for edge in cycle] + [cycle[0][0]])
+    rules = sorted({edge[3] + 1 for edge in cycle})
+    label = "rule" if len(rules) == 1 else "rules"
+    return InvalidTheoryError(
+        f"no answering engine applies: theory is not stratified, cycle "
+        f"through negation {path} ({label} {', '.join(map(str, rules))})"
     )
 
 

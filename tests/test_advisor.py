@@ -113,6 +113,10 @@ class TestEngines:
         advice = advise(parse_theory(DATALOG + "\nE(x,y), not T(y,x) -> T(x,x)"))
         assert advice.engines["datalog"] == ENGINE_NOT_APPLICABLE
         assert advice.recommended != "datalog"
+        # The chase and the translations take positive rules only.
+        assert advice.engines["chase"] == ENGINE_NOT_APPLICABLE
+        assert advice.engines["translate"] == ENGINE_NOT_APPLICABLE
+        assert advice.engines["wfg-pipeline"] == ENGINE_NOT_APPLICABLE
 
     def test_guarded_loop(self):
         engines = advise(parse_theory(LOOP)).engines

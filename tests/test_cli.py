@@ -80,6 +80,19 @@ class TestAnswerPlanner:
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["(a1)", "(a2)"]
 
+    def test_unstratified_negation_exits_1_naming_the_cycle(
+        self, tmp_path, capsys
+    ):
+        theory = tmp_path / "unstratified.rules"
+        theory.write_text("E(x,y) -> T(x,y)\nE(x,y), not T(y,x) -> T(x,x)\n")
+        data = tmp_path / "data.db"
+        data.write_text("E(a,b). E(b,a).\n")
+        code = main(["answer", str(theory), str(data), "--output", "T"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "cycle through negation T -> T" in err
+        assert "plain chase" not in err
+
     def test_auto_exits_3_when_the_chosen_chase_is_cut(self, capsys):
         code = main(
             ["answer", str(self.EXAMPLES / "publication.rules"),

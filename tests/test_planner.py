@@ -42,6 +42,10 @@ ACYCLIC = parse_theory(
 )
 
 
+#: Not stratified: ``T`` depends negatively on itself.
+UNSTRATIFIED = parse_theory("E(x,y) -> T(x,y)\nE(x,y), not T(y,x) -> T(x,x)")
+
+
 class TestStrategyChoice:
     def test_auto_runs_the_advisor_recommendation(self):
         for theory in (LOOP, WG_ONLY, UNCLASSIFIED):
@@ -55,6 +59,11 @@ class TestStrategyChoice:
         db = parse_database("E(a,b). E(b,a). E(c,d). N(a). N(c).")
         answers = answer_query(Query(ACYCLIC, "Acyc"), db)
         assert answers == {(Constant("c"),)}
+
+    @pytest.mark.parametrize("requested", ["auto", "translate"])
+    def test_unstratified_negation_is_refused_naming_the_cycle(self, requested):
+        with pytest.raises(InvalidTheoryError, match=r"cycle through negation T -> T"):
+            plan_answering(UNSTRATIFIED, requested)
 
     def test_forced_chase_runs_no_advisor_and_no_translation(self):
         with instrumented() as instr:

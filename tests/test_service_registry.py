@@ -8,7 +8,7 @@ strict lint gate, and the requested-strategy override semantics.
 import pytest
 
 from repro.chase import certain_answers
-from repro.core import Query, parse_database, parse_theory
+from repro.core import Atom, Constant, Query, parse_database, parse_theory
 from repro.obs import instrumented
 from repro.robustness import governed, inject, probe
 from repro.robustness.errors import (
@@ -21,6 +21,7 @@ from repro.service.registry import (
     STRATEGY_DATALOG,
     STRATEGY_TRANSLATE,
     TheoryRegistry,
+    UnknownDatabase,
     compile_theory,
     content_hash,
 )
@@ -318,3 +319,86 @@ class TestPlannerFallbacks:
             outcome = entry.answer(parse_database("E(a,b)."), "E")
             assert outcome.complete
             assert names(outcome.value) == [["a", "b"]]
+
+
+class TestResolutionByKey:
+    """A query or update may name its database by content key alone."""
+
+    DB = "E(a,b). E(b,c)."
+
+    def setup_method(self):
+        self.db = parse_database(self.DB)
+        self.key = self.db.content_hash()
+        self.edge = [Atom("E", (Constant("c"), Constant("d")))]
+
+    def test_query_resolves_from_the_lru(self):
+        registry = TheoryRegistry()
+        compiled = registry.register(TC)
+        compiled.answer(self.db, "T", db_key=self.key)
+        outcome = compiled.answer(None, "T", db_key=self.key)
+        assert names(outcome.value) == [["a", "b"], ["a", "c"], ["b", "c"]]
+        assert registry.stats()["materializations"] == 1
+
+    def test_query_resolves_from_the_live_model(self):
+        registry = TheoryRegistry()
+        compiled = registry.register(TC)
+        new_key, _, _ = compiled.update(self.db, self.edge, [], db_key=self.key)
+        compiled._materialized.clear()  # evicted: only the live model holds it
+        outcome = compiled.answer(None, "T", db_key=new_key)
+        assert ["a", "d"] in names(outcome.value)
+        assert registry.stats()["materializations"] == 0
+
+    def test_query_resolves_from_a_snapshot(self, tmp_path):
+        compile_theory(TC, snapshot_dir=str(tmp_path)).answer(
+            self.db, "T", db_key=self.key
+        )
+        registry = TheoryRegistry(snapshot_dir=str(tmp_path))
+        compiled = registry.register(TC)
+        compiled._materialized.clear()  # drop the warm-up: read the file
+        outcome = compiled.answer(None, "T", db_key=self.key)
+        assert names(outcome.value) == [["a", "b"], ["a", "c"], ["b", "c"]]
+        stats = registry.stats()
+        assert stats["snapshot_loads"] >= 1
+        assert stats["materializations"] == 0
+
+    def test_update_resolves_from_the_live_model_and_the_kept_input(self):
+        registry = TheoryRegistry()
+        compiled = registry.register(TC)
+        compiled.answer(self.db, "T", db_key=self.key)
+        # No live model yet: the input the query parsed enters live
+        # maintenance, adopting the cached model.
+        key1, stats1, live = compiled.update(None, self.edge, [], db_key=self.key)
+        assert stats1.inserted == 1
+        key2, stats2, again = compiled.update(
+            None, [], [Atom("E", (Constant("a"), Constant("b")))], db_key=key1
+        )
+        assert again is live and stats2.retracted == 1
+        assert key2 == parse_database("E(b,c). E(c,d).").content_hash()
+        assert registry.stats()["materializations"] == 1
+
+    def test_miss_changes_nothing(self):
+        compiled = compile_theory(TC)
+        compiled.answer(self.db, "T", db_key=self.key)
+        other = parse_database("E(x,y).")
+        live_key, _, _ = compiled.update(
+            other, self.edge, [], db_key=other.content_hash()
+        )
+        compiled._inputs.clear()  # the cached model alone cannot be updated
+        before = (
+            dict(compiled._materialized), dict(compiled._live),
+            dict(compiled._inputs),
+        )
+        unknown = "0" * 64
+        with pytest.raises(UnknownDatabase):
+            compiled.answer(None, "T", db_key=unknown)
+        for key in (unknown, self.key):
+            with pytest.raises(UnknownDatabase):
+                compiled.update(None, self.edge, [], db_key=key)
+        after = (
+            dict(compiled._materialized), dict(compiled._live),
+            dict(compiled._inputs),
+        )
+        assert list(after[0]) == list(before[0])
+        assert all(after[0][key] is model for key, model in before[0].items())
+        assert after[1] == before[1] and after[2] == before[2]
+        assert live_key in compiled._live

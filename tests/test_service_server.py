@@ -319,6 +319,26 @@ class TestCrashRecoveryThroughServer:
         run(scenario())
 
 
+class TestRegisterRefusesWhatNoEngineAnswers:
+    def test_unstratified_negation_is_an_invalid_request(self):
+        async def scenario():
+            server = await started_server(theory_text=TC, database_text=DB)
+            try:
+                port, _ = server.bound_ports()
+                reg, = await roundtrip(
+                    port,
+                    {"op": "register",
+                     "theory": "E(x,y) -> T(x,y)\nE(x,y), not T(y,x) -> T(x,x)"},
+                )
+                assert reg["ok"] is False
+                assert reg["error"]["code"] == protocol.ERR_INVALID_REQUEST
+                assert "cycle through negation" in reg["error"]["message"]
+            finally:
+                await server.drain()
+
+        run(scenario())
+
+
 class TestAdvisorSurface:
     #: Beyond super-weak acyclicity, yet provably terminating (MFA): the
     #: registry must route it to the chase predictively, and the advice

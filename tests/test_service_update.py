@@ -2,12 +2,15 @@
 
 Protocol shape validation, the in-process server contract (live
 database threading, LRU re-keying visible through worker stats,
-subscription diff pushes, affinity across updates), and the retry
+subscription diff pushes, affinity across updates, the live database
+named to workers by key with one resend per miss), and the retry
 policy exclusions — ``update`` must never be silently resent.  The
 out-of-process CLI contract lives in ``test_service_e2e``.
 """
 
 import asyncio
+import json
+import random
 
 import pytest
 
@@ -312,3 +315,272 @@ class TestClientRetryPolicy:
         assert hasattr(ServiceClient, "update")
         assert hasattr(ServiceClient, "subscribe")
         assert hasattr(ServiceClient, "next_event")
+
+
+def closure(edges) -> list[list[str]]:
+    """The transitive closure of ``edges`` as sorted answer rows."""
+    reach = set(edges)
+    while True:
+        step = {(x, w) for x, y in reach for z, w in reach if y == z} - reach
+        if not step:
+            return sorted([x, y] for x, y in reach)
+        reach |= step
+
+
+async def wait_for_respawn(server: ReasoningServer, restarts: int) -> None:
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + 30
+    while (
+        server.pool.restarts < restarts or server.pool.alive_workers() < 1
+    ) and loop.time() < deadline:
+        await asyncio.sleep(0.05)
+    assert server.pool.restarts == restarts
+
+
+class TestLiveDatabaseByKey:
+    """Server and worker name the live database by its content key: the
+    worker parses a database text only when it holds nothing for the
+    key, and the server resends such a job once with the text."""
+
+    def test_read_write_loop_parses_no_database_after_the_first_query(self):
+        async def scenario():
+            server = await started_server(theory_text=TC, database_text=DB)
+            try:
+                port, _ = server.bound_ports()
+                reader, writer = await open_conn(port)
+                try:
+                    first = await request(
+                        reader, writer, {"op": "query", "output": "T"}
+                    )
+                    assert first["answers"] == T_ANSWERS
+                    # The worker never saw the database: one miss, one
+                    # resend with the text, one parse.
+                    assert first["stats"]["db_parses"] == 1
+                    edges = {("a", "b"), ("b", "c")}
+                    batches = [
+                        ("insert", ("c", "d")), ("insert", ("d", "a")),
+                        ("retract", ("d", "a")), ("retract", ("a", "b")),
+                        ("insert", ("a", "b")),
+                    ]
+                    for kind, (u, v) in batches:
+                        updated = await request(
+                            reader, writer,
+                            {"op": "update", kind: [f"E({u}, {v})"]},
+                        )
+                        assert updated["ok"], updated
+                        assert updated["stats"]["db_parses"] == 0
+                        (edges.add if kind == "insert" else edges.discard)(
+                            (u, v)
+                        )
+                        for _ in range(2):
+                            answer = await request(
+                                reader, writer, {"op": "query", "output": "T"}
+                            )
+                            assert answer["answers"] == closure(edges)
+                            assert answer["stats"]["db_parses"] == 0
+                            assert answer["stats"]["materializations"] == 0
+                    status = await request(reader, writer, {"op": "status"})
+                    assert status["db_resends"] == 1
+                    assert status["db_parses"] == 1
+                    assert status["counters"]["service.db_resends"] == 1
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+            finally:
+                await server.drain()
+
+        run(scenario())
+
+    def test_recompiled_theory_misses_once_per_request(self):
+        async def scenario():
+            server = await started_server(theory_text=TC, database_text=DB)
+            try:
+                port, _ = server.bound_ports()
+                reader, writer = await open_conn(port)
+                try:
+                    await request(reader, writer, {"op": "query", "output": "T"})
+                    updated = await request(
+                        reader, writer, {"op": "update", "insert": ["E(c, d)"]}
+                    )
+                    assert updated["update"]["inserted"] == 1
+                    assert server.metrics.counters["service.db_resends"] == 1
+
+                    # Another strategy recompiles the theory: the new
+                    # artifact holds nothing under the live key.
+                    chased = await request(
+                        reader, writer,
+                        {"op": "query", "output": "T", "strategy": "chase",
+                         "trace_id": "resent-query", "explain": True},
+                    )
+                    assert chased["ok"], chased
+                    assert chased["strategy"] == "chase"
+                    assert chased["answers"] == closure(
+                        {("a", "b"), ("b", "c"), ("c", "d")}
+                    )
+                    assert chased["stats"]["db_parses"] == 1
+                    assert server.metrics.counters["service.db_resends"] == 2
+                    # One contiguous phase breakdown covers both trips.
+                    trace = chased["trace"]
+                    assert "unknown_db" in [e["event"] for e in trace["events"]]
+                    assert set(trace["phases"]) == {
+                        "admission", "queue", "dispatch", "respond",
+                    }
+                    assert sum(trace["phases"].values()) == pytest.approx(
+                        trace["elapsed_ms"], abs=0.01
+                    )
+
+                    # Back to auto: recompiled again, so the update misses,
+                    # is resent with the post-update text and applied once.
+                    again = await request(
+                        reader, writer, {"op": "update", "insert": ["E(d, e)"]}
+                    )
+                    assert again["ok"], again
+                    assert again["update"]["inserted"] == 1
+                    assert again["old_db_key"] == updated["db_key"]
+                    assert server.metrics.counters["service.db_resends"] == 3
+                    after = await request(
+                        reader, writer, {"op": "query", "output": "T"}
+                    )
+                    assert after["answers"] == closure(
+                        {("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")}
+                    )
+                    assert after["stats"]["db_parses"] == 0
+                    assert server.metrics.counters["service.db_resends"] == 3
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+            finally:
+                await server.drain()
+
+        run(scenario())
+
+    def test_respawned_worker_misses_once_per_request(self):
+        async def scenario():
+            server = await started_server(
+                theory_text=TC, database_text=DB, allow_faults=True
+            )
+            try:
+                port, _ = server.bound_ports()
+                reader, writer = await open_conn(port)
+                try:
+                    await request(reader, writer, {"op": "query", "output": "T"})
+                    first = await request(
+                        reader, writer, {"op": "update", "insert": ["E(c, d)"]}
+                    )
+                    assert first["ok"], first
+                    crashed = await request(
+                        reader, writer,
+                        {"op": "query", "output": "T", "inject": "crash"},
+                    )
+                    assert crashed["error"]["code"] == protocol.ERR_WORKER_CRASHED
+                    await wait_for_respawn(server, 1)
+
+                    # The replacement holds nothing: the update misses, is
+                    # resent with the live text, and applies exactly once.
+                    updated = await request(
+                        reader, writer, {"op": "update", "insert": ["E(d, e)"]}
+                    )
+                    assert updated["ok"], updated
+                    assert updated["update"]["inserted"] == 1
+                    assert updated["old_db_key"] == first["db_key"]
+                    assert server.metrics.counters["service.db_resends"] == 2
+                    post_update = closure(
+                        {("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")}
+                    )
+                    seen = await request(
+                        reader, writer, {"op": "query", "output": "T"}
+                    )
+                    assert seen["answers"] == post_update
+                    assert seen["stats"]["db_parses"] == 0
+
+                    crashed = await request(
+                        reader, writer,
+                        {"op": "query", "output": "T", "inject": "crash"},
+                    )
+                    assert crashed["error"]["code"] == protocol.ERR_WORKER_CRASHED
+                    await wait_for_respawn(server, 2)
+                    resent = await request(
+                        reader, writer, {"op": "query", "output": "T"}
+                    )
+                    assert resent["answers"] == post_update
+                    assert resent["stats"]["db_parses"] == 1
+                    assert server.metrics.counters["service.db_resends"] == 3
+                    codes = json.dumps([first, updated, seen, resent])
+                    assert protocol.ERR_UNKNOWN_DB not in codes
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+            finally:
+                await server.drain()
+
+        run(scenario())
+
+    def test_server_copy_agrees_with_the_worker(self):
+        from repro.datalog import evaluate
+        from repro.datalog.engine import answers_in
+        from repro.core import parse_database, parse_theory
+        from repro.service.registry import content_hash
+
+        rng = random.Random(19)
+        # ``"1x"`` reads back as one constant only when rendered quoted.
+        nodes = ["a", "b", "c", "d", '"1x"']
+        program = parse_theory(TC)
+
+        def fact(u: str, v: str) -> str:
+            return rng.choice(["E({},{})", "E({}, {})"]).format(u, v)
+
+        def pair() -> tuple[str, str]:
+            u, v = rng.sample(nodes, 2)
+            return u, v
+
+        spelled = {node.strip('"'): node for node in nodes}
+
+        async def scenario():
+            server = await started_server(theory_text=TC, database_text=DB)
+            try:
+                port, _ = server.bound_ports()
+                reader, writer = await open_conn(port)
+                present = [("a", "b"), ("b", "c")]
+                try:
+                    for _ in range(12):
+                        inserts = [fact(*pair()) for _ in range(rng.randint(0, 3))]
+                        retracts = [fact(*pair()) for _ in range(rng.randint(0, 2))]
+                        # A duplicate insert, a retract of an absent fact
+                        # (self-loops are never inserted), and one fact in
+                        # both lists.
+                        inserts.append(fact(*rng.choice(present)))
+                        absent = rng.choice(nodes)
+                        retracts.append(fact(absent, absent))
+                        both = fact(*pair())
+                        inserts.append(both)
+                        retracts.append(both)
+                        updated = await request(
+                            reader, writer,
+                            {"op": "update", "insert": inserts,
+                             "retract": retracts},
+                        )
+                        assert updated["ok"], updated
+                        live = server._live_for(content_hash(TC))
+                        present = [
+                            tuple(spelled[term.name] for term in atom.args)
+                            for atom in live.facts
+                        ] or [("a", "b")]
+                        copy = parse_database(live.render())
+                        assert copy.content_hash() == updated["db_key"]
+                        assert live.db_key == updated["db_key"]
+                        answer = await request(
+                            reader, writer, {"op": "query", "output": "T"}
+                        )
+                        expected = sorted(
+                            [term.name for term in row]
+                            for row in answers_in(evaluate(program, copy), "T")
+                        )
+                        assert answer["answers"] == expected
+                        assert answer["stats"]["db_parses"] == 0
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+            finally:
+                await server.drain()
+
+        run(scenario())
