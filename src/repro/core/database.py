@@ -9,11 +9,13 @@ engine, saturation and the WFG pipeline.  It is columnar and interned
   that occurs in a fact to a dense int ID, and an occurrence bitmap backs
   ``has_term`` so the chase can mint fresh nulls without a scan;
 * each relation is a :class:`~repro.core.store.ColumnRelation` holding
-  one int column vector per position, with lazily built hash buckets for
-  the compiled join plans and sorted/bisect indexes for
-  :meth:`Database.atoms_matching`;
-* rows are append-only and deduplicated, so the facts added since a mark
-  are an ordinal range — the Datalog engine's semi-naive deltas;
+  one int column vector per position, a lazily built ``row -> ordinal``
+  map (membership and fully bound probes) and lazily built hash buckets
+  (the compiled join plans and partially bound probes);
+* rows are deduplicated and appended at the end, so between deletions
+  the facts added since a mark are an ordinal range — the Datalog
+  engine's semi-naive deltas; deletion swap-removes in time proportional
+  to the deleted rows;
 * decoded :class:`~repro.core.atoms.Atom` objects are cached per row
   ordinal, so iteration and probes hand back the same objects.
 
@@ -30,6 +32,7 @@ enumeration in the join engines is an O(1) tuple fetch.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, insort
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .atoms import Atom, RelationKey
@@ -74,6 +77,10 @@ class Database:
         self._acdom: Optional[frozenset[Constant]] = None
         self._reset_acdom_caches()
         self._content_hash: Optional[str] = None
+        #: The sorted fingerprint lines behind :meth:`content_hash`, kept
+        #: once computed and patched by :meth:`add`/:meth:`remove`, so a
+        #: one-fact update rehashes without re-sorting the database.
+        self._hash_lines: Optional[list[str]] = None
         #: Buffers (mmap objects) kept alive for snapshot-backed columns.
         self._buffers: list = []
         for atom in atoms:
@@ -116,18 +123,18 @@ class Database:
         self._n_atoms += 1
         self._cells += relation.width
         self._content_hash = None
+        lines = self._hash_lines
+        if lines is not None:
+            insort(lines, _atom_fingerprint(atom))
         return True
 
-    def _existing_rows(self, key: RelationKey) -> "set[tuple[int, ...]] | frozenset":
-        """The relation's row set (built if needed); empty if absent.
+    def _existing_rows(self, key: RelationKey) -> "dict[tuple[int, ...], int] | frozenset":
+        """The relation's row map (built if needed); empty if absent.
         Backs the compiled rule executors' fire-time membership checks."""
         relation = self._relations.get(key)
         if relation is None:
             return frozenset()
-        rowset = relation._rowset
-        if rowset is None:
-            rowset = relation._build_rowset()
-        return rowset
+        return relation.rowmap()
 
     def _add_row(self, key: RelationKey, row: tuple[int, ...]) -> bool:
         """Append one already-encoded row — the ID-space twin of
@@ -145,6 +152,7 @@ class Database:
         self._n_atoms += 1
         self._cells += relation.width
         self._content_hash = None
+        self._hash_lines = None
         return True
 
     def remove(self, atom: Atom) -> bool:
@@ -168,13 +176,21 @@ class Database:
             if i is None:
                 return False
             row.append(i)
-        return self._remove_rows(atom.relation_key, ((tuple(row)),)) == 1
+        lines = self._hash_lines
+        if not self._remove_rows(atom.relation_key, (tuple(row),)):
+            return False
+        if lines is not None:
+            # ``_remove_rows`` drops the lines; this one fact's line is
+            # known, so patch and keep them.
+            del lines[bisect_left(lines, _atom_fingerprint(atom))]
+            self._hash_lines = lines
+        return True
 
     def _remove_rows(
         self, key: RelationKey, rows: Iterable[tuple[int, ...]]
     ) -> int:
         """Delete already-encoded rows — the ID-space twin of
-        :meth:`remove`, used by the incremental engine's compaction.
+        :meth:`remove`, used by the incremental engine's deletions.
         Returns how many rows were actually present and removed."""
         relation = self._relations.get(key)
         if relation is None:
@@ -184,6 +200,7 @@ class Database:
             self._n_atoms -= removed
             self._cells -= removed * relation.width
             self._content_hash = None
+            self._hash_lines = None
         return removed
 
     def freeze_acdom(self) -> None:
@@ -237,10 +254,7 @@ class Database:
             if i is None:
                 return False
             row.append(i)
-        rowset = relation._rowset
-        if rowset is None:
-            rowset = relation._build_rowset()
-        return tuple(row) in rowset
+        return tuple(row) in relation.rowmap()
 
     def __iter__(self) -> Iterator[Atom]:
         for key, relation in self._relations.items():
@@ -298,7 +312,10 @@ class Database:
     ) -> set[Atom]:
         """Atoms of ``key`` whose position ``i`` holds ``bindings[i]``.
 
-        An empty ``bindings`` returns all atoms of the relation.
+        An empty ``bindings`` returns all atoms of the relation.  With
+        every position bound the answer is one row-map lookup; otherwise
+        the smallest hash bucket among the bound positions is scanned
+        and verified against the columns.
         """
         relation = self._relations.get(key)
         if relation is None or relation.n_rows == 0:
@@ -312,33 +329,28 @@ class Database:
             if i is None:
                 return set()
             encoded.append((position, i))
-        if len(encoded) == 1:
-            # Single-binding fast path: one hash-bucket probe, decoded
-            # through the ordinal atom cache.
-            position, value = encoded[0]
+        if len(encoded) == relation.width:
+            encoded.sort()
+            ordinal = relation.rowmap().get(tuple(value for _, value in encoded))
+            if ordinal is None:
+                return set()
+            return {self._decode_ordinal(relation, ordinal)}
+        smallest = None
+        for position, value in encoded:
             ordinals = relation.bucket(position).get(value)
             if not ordinals:
                 return set()
-            decode = self._decode_ordinal
-            return {decode(relation, ordinal) for ordinal in ordinals}
-        # Bisect-probe the sorted secondary index at every bound
-        # position, then verify the smallest candidate range against the
-        # raw columns (cheaper than materializing ordinal-set
-        # intersections).
-        candidates = [
-            relation.sorted_probe(position, value)
-            for position, value in encoded
-        ]
-        smallest = min(candidates, key=len)
+            if smallest is None or len(ordinals) < len(smallest):
+                smallest = ordinals
+        decode = self._decode_ordinal
+        if len(encoded) == 1:
+            return {decode(relation, ordinal) for ordinal in smallest}
         cols = relation._cols
-        matches: set[Atom] = set()
-        for ordinal in smallest:
-            for position, value in encoded:
-                if cols[position][ordinal] != value:
-                    break
-            else:
-                matches.add(self._decode_ordinal(relation, ordinal))
-        return matches
+        return {
+            decode(relation, ordinal)
+            for ordinal in smallest
+            if all(cols[position][ordinal] == value for position, value in encoded)
+        }
 
     def relation_size(self, key: RelationKey) -> int:
         """Number of atoms of the given relation identity (O(1))."""
@@ -358,18 +370,23 @@ class Database:
 
         The hash is *structural* — order-independent and stable across
         processes and input formatting — so it can key both the
-        registry's materialization LRU and the on-disk snapshot cache.
-        Mutation (:meth:`add`, :meth:`remove`) invalidates the memo;
-        lookups between mutations are O(1).
+        registry's materialization LRU and the on-disk snapshot cache:
+        the digest of every atom's fingerprint line, sorted, each ended
+        by a newline.  Mutation invalidates the memo; lookups between
+        mutations are O(1).  The sorted lines are kept, and :meth:`add`
+        and :meth:`remove` insert or delete one line, so rehashing after
+        a one-fact update skips the sort; the row-space mutators drop
+        them.
         """
         cached = self._content_hash
         if cached is not None:
             return cached
-        hasher = hashlib.sha256()
-        for line in sorted(_atom_fingerprint(atom) for atom in self):
-            hasher.update(line.encode("utf-8"))
-            hasher.update(b"\n")
-        digest = hasher.hexdigest()
+        lines = self._hash_lines
+        if lines is None:
+            lines = sorted(_atom_fingerprint(atom) for atom in self)
+            self._hash_lines = lines
+        text = "\n".join(lines) + "\n" if lines else ""
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         self._content_hash = digest
         return digest
 
@@ -466,6 +483,8 @@ class Database:
         clone._acdom_ids = self._acdom_ids
         clone._acdom_ids_sorted = self._acdom_ids_sorted
         clone._content_hash = self._content_hash
+        lines = self._hash_lines
+        clone._hash_lines = list(lines) if lines is not None else None
         clone._buffers = list(self._buffers)
         return clone
 

@@ -629,7 +629,7 @@ def _generate(
     ``negated`` holds the rule's negated atoms, lifted the same way: a
     match whose encoded negated row is in the database stages nothing.
     The negated relations must stay fixed while the rule fires — in a
-    stratified program they belong to lower strata — so their row sets
+    stratified program they belong to lower strata — so their row maps
     are read once in the prelude.  Used by the Datalog engine's fixpoint
     loop (see :func:`derive_rule_rows`); requires an unadorned plan.
     ``all_rows`` drops the existing-row skip so *every* derived head row
@@ -740,7 +740,7 @@ def _generate(
         return f"({', '.join(parts)},)" if parts else "()"
 
     # Negated rows: an absent constant resolves to -1 like a body
-    # constant, so the row is in no row set and the match survives.
+    # constant, so the row is in no row map and the match survives.
     negated_rows: list[tuple[str, str]] = []
     for j, (relation_key, terms) in enumerate(negated):
         e.emit(f"NS{j} = database._existing_rows({e.ref(relation_key, 'NK')})")

@@ -12,17 +12,23 @@ layout this module provides:
   ``int`` object, so a cell costs one pointer); snapshot-loaded columns
   are zero-copy ``memoryview('q')`` windows into an ``mmap`` and are
   copied to mutable vectors only on first append (copy-on-write);
-* two index tiers per column: **hash buckets** (``dict[id] -> row
-  ordinals``, built lazily per position, maintained incrementally) feed
-  the compiled join plans' O(1) probes, and **sorted secondary indexes
-  with bisect probes** (a sorted permutation of the column plus a
-  linearly-scanned append tail) back the multi-binding
-  ``Database.atoms_matching`` path;
-* semi-naive **delta iteration as index range scans**: because rows are
-  append-only and deduplicated, the atoms added in one fixpoint
-  iteration are exactly the row ordinals ``[mark, n_rows)``; the
-  Datalog engine ships those ranges as :class:`ColumnDelta` row blocks
-  instead of re-boxed atom sets.
+* one **row map** per relation (``row -> ordinal``, built lazily,
+  maintained afterwards) answering deduplication, the executors'
+  membership checks and fully bound probes in one lookup;
+* **hash buckets** per position (``dict[id] -> row ordinals``, built
+  lazily, maintained afterwards) feeding the compiled join plans' O(1)
+  probes and the partially bound ``Database.atoms_matching`` path;
+* semi-naive **delta iteration as index range scans**: rows are
+  deduplicated and appended at the end, so the atoms added in one
+  fixpoint iteration are exactly the row ordinals ``[mark, n_rows)``;
+  the Datalog engine ships those ranges as :class:`ColumnDelta` row
+  blocks instead of re-boxed atom sets;
+* **swap-remove deletion** in time proportional to the deleted rows:
+  each dead row's ordinal is refilled with the relation's last row, and
+  the row map, every built bucket and the decoded-atom cache are patched
+  in the same step.  Deletion reorders rows, so an ordinal range is a
+  delta only between deletions — which is all semi-naive iteration and
+  the chase's marks ever ask of it.
 
 Snapshots
 ---------
@@ -65,7 +71,6 @@ import mmap
 import os
 import struct
 import sys
-from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .atoms import Atom, RelationKey
@@ -93,10 +98,6 @@ SNAPSHOT_VERSION = 1
 #: Kind bits of the per-symbol byte in the snapshot symbol section.
 _KIND_NULL = 0b01
 _KIND_OCCURS = 0b10
-
-#: Rebuild (rather than tail-scan) a sorted secondary index once the
-#: unsorted append tail outgrows this floor plus 1/8 of the sorted part.
-_SORTED_TAIL_FLOOR = 64
 
 #: Process-lifetime snapshot counters, mirroring ``plan._stats`` — the
 #: worker pool reads them as before/after deltas per job.
@@ -205,13 +206,10 @@ class ColumnRelation:
         "key",
         "width",
         "n_rows",
-        "supports",
-        "edb",
         "_cols",
         "_frozen",
-        "_rowset",
+        "_rowmap",
         "_buckets",
-        "_sorted",
         "_atoms_cache",
         "_decoded",
     )
@@ -220,31 +218,21 @@ class ColumnRelation:
         self.key = key
         self.width = key[1] + key[2]
         self.n_rows = 0
-        #: Ordinal-aligned support bookkeeping for incremental
-        #: maintenance (``repro.incremental``): ``supports[o]`` is the
-        #: number of distinct rule derivations of row ``o`` and
-        #: ``edb[o]`` flags an explicitly inserted (extensional) row.
-        #: ``None`` until :meth:`ensure_counts` — batch evaluation never
-        #: pays for them.  Not persisted in snapshots; the incremental
-        #: engine rebuilds them when it adopts a materialization.
-        self.supports: Optional[list[int]] = None
-        self.edb: Optional[bytearray] = None
         self._cols: list = [[] for _ in range(self.width)]
         #: True while columns are immutable memoryviews over a snapshot.
         self._frozen = False
-        #: Row-tuple set for O(1) dedup/contains; ``None`` until needed
-        #: (snapshot-loaded relations that are only scanned never pay it).
-        self._rowset: Optional[set[tuple[int, ...]]] = None
+        #: Row tuple -> ordinal; ``None`` until needed (snapshot-loaded
+        #: relations that are only scanned never pay for it).
+        self._rowmap: Optional[dict[tuple[int, ...], int]] = None
         #: Hash tier: per position, ``id -> [row ordinals]`` (lazy).
         self._buckets: list = [None] * self.width
-        #: Sorted tier: per position, ``(sorted values, ordinals, upto)``.
-        self._sorted: list = [None] * self.width
         #: ``(n_rows, frozenset[Atom])`` decode cache for ``atoms_for``.
         self._atoms_cache: Optional[tuple[int, frozenset[Atom]]] = None
-        #: Ordinal-aligned boxed-atom cache: rows are append-only, so a
-        #: decoded :class:`Atom` stays valid forever and every probe that
-        #: hits the same row returns the same object (re-boxing per
-        #: probe would dominate the probe itself).
+        #: Ordinal-aligned boxed-atom cache (possibly shorter than the
+        #: relation, ``None`` where not yet decoded): every probe that
+        #: hits the same row returns the same object (re-boxing per probe
+        #: would dominate the probe itself).  Deletion moves entries with
+        #: their rows.
         self._decoded: list = []
 
     # -- mutation ------------------------------------------------------
@@ -253,26 +241,25 @@ class ColumnRelation:
         self._cols = [list(col) for col in self._cols]
         self._frozen = False
 
-    def _build_rowset(self) -> set[tuple[int, ...]]:
-        if self.width == 1:
-            col0 = self._cols[0]
-            rowset = {(v,) for v in col0}
-        else:
-            rowset = set(self.iter_rows())
-        self._rowset = rowset
-        return rowset
+    def rowmap(self) -> dict[tuple[int, ...], int]:
+        """The ``row -> ordinal`` map (built on first use, maintained by
+        :meth:`add_row` and :meth:`remove_rows` afterwards)."""
+        rowmap = self._rowmap
+        if rowmap is None:
+            rowmap = self._rowmap = dict(zip(self.iter_rows(), range(self.n_rows)))
+        return rowmap
 
     def add_row(self, row: tuple[int, ...]) -> bool:
         """Append a row unless present; returns True if it was new."""
-        rowset = self._rowset
-        if rowset is None:
-            rowset = self._build_rowset()
-        if row in rowset:
+        rowmap = self._rowmap
+        if rowmap is None:
+            rowmap = self.rowmap()
+        if row in rowmap:
             return False
         if self._frozen:
             self._thaw()
-        rowset.add(row)
         ordinal = self.n_rows
+        rowmap[row] = ordinal
         cols = self._cols
         buckets = self._buckets
         for position, value in enumerate(row):
@@ -284,90 +271,72 @@ class ColumnRelation:
                     bucket[value] = [ordinal]
                 else:
                     existing.append(ordinal)
-        if self.supports is not None:
-            self.supports.append(0)
-            self.edb.append(0)
         self.n_rows = ordinal + 1
         self._atoms_cache = None
         return True
 
-    def ensure_counts(self) -> None:
-        """Allocate the ordinal-aligned support/EDB arrays (zeroed) if
-        this relation has not carried them yet."""
-        if self.supports is None:
-            self.supports = [0] * self.n_rows
-            self.edb = bytearray(self.n_rows)
-
     def remove_rows(self, dead_rows: Iterable[tuple[int, ...]]) -> int:
-        """Delete the given rows by compaction; returns how many were
+        """Delete the given rows by swap-remove; returns how many were
         actually present.
 
-        Retraction rebuilds the relation's columns without the dead
-        ordinals and renumbers the survivors.  Tombstones were rejected
-        deliberately: ordinals are load-bearing everywhere (bucket
-        ordinal lists, ``rows_between`` range deltas, the sorted tier,
-        snapshot payloads), so a hole-tolerant encoding would tax every
-        scan forever, while compaction is an O(n_rows) memcpy-shaped
-        pass paid only on the relations a delta actually touches.  All
-        derived indexes reset and rebuild lazily; the support/EDB
-        arrays and the decoded-atom cache compact in the same pass so
-        they stay ordinal-aligned.
+        Each dead ordinal is refilled with the relation's last row, and
+        the row map, every hash bucket already built and the decoded-atom
+        cache are patched in the same step, so the cost is proportional
+        to the dead rows (times their buckets' lengths), with no pass
+        over the survivors and no index rebuilt (a snapshot-loaded
+        relation copies its mapped columns first, once, as on its first
+        append).  Dead ordinals are
+        processed from the highest down: the last row is then always a
+        survivor (or the dead row itself, which is simply popped), so the
+        ordinals of dead rows not yet processed never move.
         """
-        rowset = self._rowset
-        if rowset is None:
-            rowset = self._build_rowset()
-        dead = {row for row in dead_rows if row in rowset}
+        rowmap = self.rowmap()
+        dead = {rowmap[row]: row for row in dead_rows if row in rowmap}
         if not dead:
             return 0
         if self._frozen:
             self._thaw()
-        keep = [
-            ordinal
-            for ordinal, row in enumerate(self.iter_rows())
-            if row not in dead
+        cols = self._cols
+        built = [
+            (position, bucket)
+            for position, bucket in enumerate(self._buckets)
+            if bucket is not None
         ]
-        self._cols = [[col[o] for o in keep] for col in self._cols]
         decoded = self._decoded
-        n_decoded = len(decoded)
-        self._decoded = [
-            decoded[o] if o < n_decoded else None for o in keep
-        ]
-        if self.supports is not None:
-            supports = self.supports
-            edb = self.edb
-            self.supports = [supports[o] for o in keep]
-            self.edb = bytearray(edb[o] for o in keep)
-        rowset.difference_update(dead)
-        self.n_rows = len(keep)
-        self._buckets = [None] * self.width
-        self._sorted = [None] * self.width
+        last = self.n_rows - 1
+        for ordinal in sorted(dead, reverse=True):
+            row = dead[ordinal]
+            del rowmap[row]
+            for position, bucket in built:
+                ordinals = bucket[row[position]]
+                ordinals.remove(ordinal)
+                if not ordinals:
+                    del bucket[row[position]]
+            if ordinal != last:
+                moved = self.row(last)
+                rowmap[moved] = ordinal
+                for col, value in zip(cols, moved):
+                    col[ordinal] = value
+                for position, bucket in built:
+                    ordinals = bucket[moved[position]]
+                    ordinals[ordinals.index(last)] = ordinal
+            for col in cols:
+                col.pop()
+            n_decoded = len(decoded)
+            if ordinal < n_decoded:
+                if last < n_decoded:
+                    decoded[ordinal] = decoded[last]
+                    decoded.pop()
+                else:
+                    decoded[ordinal] = None
+            last -= 1
+        self.n_rows = last + 1
         self._atoms_cache = None
         return len(dead)
 
     # -- row access ----------------------------------------------------
     def row(self, ordinal: int) -> tuple[int, ...]:
         return tuple(col[ordinal] for col in self._cols)
-
-    def ordinal_of(self, row: tuple[int, ...]) -> int:
-        """The ordinal holding ``row``, or ``-1`` when absent — a hash
-        bucket probe on position 0 verified against the remaining
-        columns.  Backs the incremental engine's per-row support/EDB
-        flag lookups (only delta rows are ever probed)."""
-        if self.width == 0:
-            return 0 if self.n_rows else -1
-        candidates = self.bucket(0).get(row[0])
-        if not candidates:
-            return -1
-        if self.width == 1:
-            return candidates[0]
-        cols = self._cols
-        for ordinal in candidates:
-            for position in range(1, self.width):
-                if cols[position][ordinal] != row[position]:
-                    break
-            else:
-                return ordinal
-        return -1
 
     def iter_rows(self) -> Iterator[tuple[int, ...]]:
         if self.width == 0:
@@ -390,7 +359,8 @@ class ColumnRelation:
     # -- hash index tier (compiled-plan probes) ------------------------
     def bucket(self, position: int) -> dict:
         """The hash bucket index for ``position`` (built on first use,
-        maintained incrementally by :meth:`add_row` afterwards)."""
+        maintained by :meth:`add_row` and :meth:`remove_rows`
+        afterwards)."""
         bucket = self._buckets[position]
         if bucket is None:
             bucket = {}
@@ -403,36 +373,11 @@ class ColumnRelation:
             self._buckets[position] = bucket
         return bucket
 
-    # -- sorted index tier (bisect probes) -----------------------------
-    def sorted_probe(self, position: int, value: int) -> list[int]:
-        """Row ordinals holding ``value`` at ``position``, via bisect on
-        the sorted secondary index.  Appends since the last (re)build sit
-        in an unsorted tail that is scanned linearly; the index is
-        rebuilt once the tail outgrows its budget."""
-        col = self._cols[position]
-        n = self.n_rows
-        index = self._sorted[position]
-        if index is None or (n - index[2]) > _SORTED_TAIL_FLOOR + (index[2] >> 3):
-            ordinals = sorted(range(n), key=col.__getitem__)
-            values = [col[o] for o in ordinals]
-            index = (values, ordinals, n)
-            self._sorted[position] = index
-        values, ordinals, upto = index
-        lo = bisect_left(values, value, 0, upto)
-        hi = bisect_right(values, value, lo, upto)
-        result = ordinals[lo:hi]
-        for ordinal in range(upto, n):
-            if col[ordinal] == value:
-                result.append(ordinal)
-        return result
-
     def copy(self) -> "ColumnRelation":
         clone = object.__new__(ColumnRelation)
         clone.key = self.key
         clone.width = self.width
         clone.n_rows = self.n_rows
-        clone.supports = list(self.supports) if self.supports is not None else None
-        clone.edb = bytearray(self.edb) if self.edb is not None else None
         if self._frozen:
             # Immutable snapshot views are shared; the copy thaws on its
             # own first append without disturbing this relation.
@@ -442,9 +387,8 @@ class ColumnRelation:
             clone._cols = [list(col) for col in self._cols]
             clone._frozen = False
         # Derived structures rebuild lazily on the copy.
-        clone._rowset = None
+        clone._rowmap = None
         clone._buckets = [None] * self.width
-        clone._sorted = [None] * self.width
         clone._atoms_cache = self._atoms_cache
         clone._decoded = list(self._decoded)  # atoms are immutable
         return clone

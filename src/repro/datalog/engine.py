@@ -14,7 +14,7 @@ extensions are already final, so a simple absence check is sound.
 Every rule fires through one path, negated or not, observed or not: the
 compiled ID-space rule executors of :func:`repro.core.plan.derive_rule_rows`,
 which stage encoded head rows and check negated atoms against the
-relations' row sets.  ``REPRO_NAIVE_JOIN=1`` and over-long bodies run on
+relations' row maps.  ``REPRO_NAIVE_JOIN=1`` and over-long bodies run on
 the reference interpreter inside that function.
 
 The semi-naive loop (:func:`seminaive`) is also the Datalog phase of the
@@ -78,9 +78,9 @@ def _ingest(database: Database, staged: dict) -> tuple[dict, int]:
 
     Returns the new delta — relation key → first new row ordinal, for
     the relations that grew — plus the number of genuinely new facts.
-    Rows are append-only and deduplicated, so the facts added this
-    iteration are exactly the ordinals ``[mark, n_rows)`` of each
-    touched relation."""
+    Rows are deduplicated and appended at the end, and nothing deletes
+    during a fixpoint, so the facts added this iteration are exactly the
+    ordinals ``[mark, n_rows)`` of each touched relation."""
     marks = {key: database.relation_size(key) for key in staged}
     added = 0
     add_row = database._add_row

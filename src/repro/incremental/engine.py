@@ -5,14 +5,14 @@ A :class:`LiveModel` owns a materialized Datalog fixpoint and absorbs
 instead of the database:
 
 * **Counting path** (negation-free stratified programs on the columnar
-  store): extensional rows carry an EDB flag in the store's
-  ordinal-aligned bookkeeping (:meth:`ColumnRelation.ensure_counts`),
-  and deletion decisions are made by *exact recounts* — for a candidate
-  row the engine binds the head variables of every defining rule and
-  asks the compiled adorned join plan whether any body assignment
-  survives.  Counts are never incremented through delta-pinned joins:
-  a derivation using two delta facts would be discovered once per
-  pinned index, and drifting counts silently keep unsupported facts.
+  store): the live model keeps its extensional rows, encoded in the
+  model's ID space, as one set per relation, and deletion decisions are
+  made by *exact recounts* — for a candidate row the engine binds the
+  head variables of every defining rule and asks the compiled adorned
+  join plan whether any body assignment survives.  No support count is
+  stored: incrementing counts through delta-pinned joins would find a
+  derivation using two delta facts once per pinned index, and drifting
+  counts silently keep unsupported facts.
 * **DRed-style delete** (overdelete → rederive → propagate) for the
   recursive case: the overdelete closure is computed *before* any
   physical removal by pinning the compiled all-rows rule executors
@@ -195,24 +195,26 @@ class LiveModel:
                         (atom, body)
                     )
                     self._stratum_of[atom.relation] = index
+        #: relation key -> the extensional rows, encoded in the model's
+        #: ID space (counting mode only).
+        self._edb_rows: dict[RelationKey, set[tuple[int, ...]]] = {}
         if self.mode == "counting":
-            self._adopt_counts()
+            self._adopt_edb()
 
     # ------------------------------------------------------------------
     # adoption
     # ------------------------------------------------------------------
-    def _adopt_counts(self) -> None:
-        """Mark every extensional row in the model's EDB bitmap."""
+    def _adopt_edb(self) -> None:
+        """Encode every extensional fact in the model's ID space."""
         model = self.model
-        for relation in model._relations.values():
-            relation.ensure_counts()
         ids = model._symtab._ids
         for atom in self.edb:
-            relation = model._relations[atom.relation_key]
+            key = atom.relation_key
             row = tuple(ids[term] for term in atom.all_terms)
-            ordinal = relation.ordinal_of(row)
-            assert ordinal >= 0, "model must contain every extensional fact"
-            relation.edb[ordinal] = 1
+            assert row in model._existing_rows(key), (
+                "model must contain every extensional fact"
+            )
+            self._edb_rows.setdefault(key, set()).add(row)
 
     # ------------------------------------------------------------------
     # public surface
@@ -297,6 +299,7 @@ class LiveModel:
         stats = UpdateStats(mode="counting")
         model = self.model
         ids = model._symtab._ids
+        edb_rows = self._edb_rows
 
         # -- retract batch --------------------------------------------
         seed: dict[RelationKey, set[tuple[int, ...]]] = {}
@@ -305,11 +308,8 @@ class LiveModel:
                 continue  # not an extensional fact; nothing to retract
             stats.retracted += 1
             key = atom.relation_key
-            relation = model._relations[key]
-            relation.ensure_counts()
             row = tuple(ids[term] for term in atom.all_terms)
-            ordinal = relation.ordinal_of(row)
-            relation.edb[ordinal] = 0
+            edb_rows[key].discard(row)
             seed.setdefault(key, set()).add(row)
         if seed:
             self._delete(seed, stats, obs)
@@ -321,17 +321,12 @@ class LiveModel:
                 continue  # duplicate extensional insert
             stats.inserted += 1
             key = atom.relation_key
+            # An already derived row merely gains extensional status.
             was_new = model.add(atom)
-            relation = model._relations[key]
-            relation.ensure_counts()
             row = tuple(ids[term] for term in atom.all_terms)
+            edb_rows.setdefault(key, set()).add(row)
             if was_new:
-                ordinal = relation.n_rows - 1
                 fresh.setdefault(key, []).append(row)
-            else:
-                # Already derived: it merely gains extensional status.
-                ordinal = relation.ordinal_of(row)
-            relation.edb[ordinal] = 1
         if fresh:
             self._insert_propagate(fresh, stats, obs)
         return stats
@@ -370,28 +365,24 @@ class LiveModel:
                             )
                     next_pending: dict = {}
                     for key, rows in found.items():
-                        relation = model._relations.get(key)
-                        if relation is None or relation.n_rows == 0:
-                            continue
-                        relation.ensure_counts()
-                        rowset = relation._rowset
-                        if rowset is None:
-                            rowset = relation._build_rowset()
-                        already = deleted.get(key, set())
-                        over: set[tuple[int, ...]] = set()
-                        for row in rows:
-                            if row in already or row not in rowset:
-                                continue
-                            if relation.edb[relation.ordinal_of(row)]:
-                                continue  # extensional support survives
-                            over.add(row)
+                        present = model._existing_rows(key)
+                        already = deleted.get(key, ())
+                        # Extensional rows keep their support.
+                        extensional = self._edb_rows.get(key, ())
+                        over = {
+                            row
+                            for row in rows
+                            if row in present
+                            and row not in already
+                            and row not in extensional
+                        }
                         if over:
                             deleted.setdefault(key, set()).update(over)
                             next_pending[key] = over
                             stats.overdeleted += len(over)
                     pending = next_pending
 
-            # Physical removal (compaction) of retracted ∪ overdeleted.
+            # Physical removal (swap-remove) of retracted ∪ overdeleted.
             removed_total = 0
             for key, rows in deleted.items():
                 removed_total += model._remove_rows(key, rows)
@@ -408,14 +399,10 @@ class LiveModel:
                 for key, rows in deleted.items():
                     if self._stratum_of.get(key[0]) != index:
                         continue
-                    relation = model._relations.get(key)
                     for row in sorted(rows):
-                        supports = self._recount(key, row)
-                        if not supports:
+                        if not self._derivable(key, row):
                             continue
                         model._add_row(key, row)
-                        relation.ensure_counts()
-                        relation.supports[relation.n_rows - 1] = supports
                         restored += 1
                         frontier.setdefault(key, []).append(row)
                 if frontier:
@@ -427,24 +414,19 @@ class LiveModel:
                 0, removed_total - stats.retracted - restored
             )
 
-    def _recount(self, key: RelationKey, row: tuple[int, ...]) -> int:
-        """The number of rule templates with at least one surviving
-        derivation of ``row`` — the exact-recount support probe.
+    def _derivable(self, key: RelationKey, row: tuple[int, ...]) -> bool:
+        """Does some rule still derive ``row`` from the surviving model?
+        — the exact-recount support probe.
 
         Binds the defining rule's head variables to the row's terms and
         asks the compiled adorned plan for one witness assignment; the
         probe is per-row, so deletion cost tracks the delta, not the
-        database.  Stored in the row's ``supports`` slot as bookkeeping
-        (the authoritative deletion decision is this recount itself).
+        database.
         """
-        entries = self._head_index.get(key)
-        if not entries:
-            return 0
         model = self.model
         terms = model._symtab._terms
         decoded = tuple(terms[i] for i in row)
-        supports = 0
-        for head_atom, body in entries:
+        for head_atom, body in self._head_index.get(key, ()):
             binding: dict[Variable, Term] = {}
             matched = True
             for position, term in enumerate(head_atom.all_terms):
@@ -466,8 +448,8 @@ class LiveModel:
                 iter(execute_plan(plan, model, partial=binding)), None
             )
             if witness is not None:
-                supports += 1
-        return supports
+                return True
+        return False
 
     # -- insertion: semi-naive propagation stratum by stratum ----------
     def _insert_propagate(self, fresh, stats: UpdateStats, obs) -> None:
@@ -523,7 +505,6 @@ class LiveModel:
                 added = [row for row in sorted(rows) if model._add_row(key, row)]
                 if not added:
                     continue
-                model._relations[key].ensure_counts()
                 total += len(added)
                 next_delta[key] = added
                 if collector is not None:

@@ -6,9 +6,12 @@ maintained :class:`~repro.incremental.LiveModel` equals a from-scratch
 evaluation of the post-update input database — model equality (the full
 atom sets) and per-relation CQ answers.  A dedicated generator biases
 retractions onto facts with derived consequences so the DRed
-overdelete/rederive path runs constantly, and a chase variant checks
-the delta-restricted chase against full re-chasing on the constant-only
-(certain) fragment.
+overdelete/rederive path runs constantly; retractions are also drawn
+from binary facts that lie on a cycle (the recursive case where DRed
+overdeletes facts that other paths still support), including one
+deterministic retraction inside a 60-node strongly connected component.
+A chase variant checks the delta-restricted chase against full
+re-chasing on the constant-only (certain) fragment.
 """
 
 import random
@@ -62,9 +65,37 @@ def datalog_workloads(draw):
     return signature, program, database, batch_seeds
 
 
+def on_cycle(facts) -> list[Atom]:
+    """The binary facts ``R(u, v)`` that lie on a cycle of the graph
+    whose edges are all binary facts (``v`` reaches ``u``; a loop
+    ``R(u, u)`` included), in the order given."""
+    successors: dict = {}
+    for atom in facts:
+        if len(atom.args) == 2:
+            successors.setdefault(atom.args[0], set()).add(atom.args[1])
+
+    def reaches(source, target) -> bool:
+        seen, stack = set(), [source]
+        while stack:
+            node = stack.pop()
+            if node == target:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(successors.get(node, ()))
+        return False
+
+    return [
+        atom
+        for atom in facts
+        if len(atom.args) == 2 and reaches(atom.args[1], atom.args[0])
+    ]
+
+
 def random_batch(rng, signature, edb):
     """One insert/retract batch; retracts are drawn from the live EDB so
-    deletions actually hit supported facts."""
+    deletions actually hit supported facts, half of them (when there is
+    one) from the facts that lie on a cycle."""
     constants = [Constant(f"c{i}") for i in range(5)]
     inserts = []
     for _ in range(rng.randint(0, 3)):
@@ -75,11 +106,48 @@ def random_batch(rng, signature, edb):
         )
         inserts.append(Atom(relation, args))
     current = sorted(edb)
+    cyclic = on_cycle(current)
     retracts = []
     if current:
         for _ in range(rng.randint(0, 2)):
-            retracts.append(rng.choice(current))
+            pool = cyclic if cyclic and rng.random() < 0.5 else current
+            retracts.append(rng.choice(pool))
     return inserts, retracts
+
+
+#: Transitive closure plus the nodes on a cycle: every cycle in the
+#: edges is a strongly connected component of ``t``.
+CYCLE_PROGRAM = """
+e(x,y) -> t(x,y)
+e(x,y), t(y,z) -> t(x,z)
+t(x,y), e(y,x) -> c(x)
+"""
+
+
+def edge(u, v) -> Atom:
+    return Atom("e", (u, v))
+
+
+@st.composite
+def cyclic_graph_workloads(draw):
+    """A small graph with at least one cycle, and batches of edge
+    inserts, each with a seed for drawing its retraction."""
+    nodes = [Constant(f"n{i}") for i in range(draw(st.integers(1, 7)))]
+    cycle = draw(st.permutations(nodes))[: draw(st.integers(1, len(nodes)))]
+    edges = {edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])}
+    node_pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    edges |= {edge(u, v) for u, v in draw(st.lists(node_pairs, max_size=8))}
+    batches = draw(
+        st.lists(
+            st.tuples(
+                st.lists(node_pairs, max_size=2),
+                st.integers(min_value=0, max_value=10_000),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return sorted(edges), batches
 
 
 class TestDatalogDifferential:
@@ -137,6 +205,59 @@ class TestDatalogDifferential:
         # Not every random episode overdeletes, but the suite as a whole
         # must keep hitting the path; at minimum the counters stay sane.
         assert live.mode == "counting"
+
+    @given(cyclic_graph_workloads())
+    @settings(max_examples=60, deadline=None)
+    def test_retractions_inside_cycles(self, workload):
+        # Every batch retracts an edge on a cycle when one is left: the
+        # cycle's facts support each other, so DRed must overdelete them
+        # all and rederive exactly those another path still proves.
+        from repro.core.parser import parse_theory
+
+        edges, batches = workload
+        program = parse_theory(CYCLE_PROGRAM)
+        live = LiveModel(program, Database(edges))
+        for index, (pairs, seed) in enumerate(batches):
+            cyclic = on_cycle(sorted(live.edb))
+            if index == 0:
+                assert cyclic  # the drawn graph starts with a cycle
+            retracts = [random.Random(seed).choice(cyclic)] if cyclic else []
+            stats = live.apply(
+                inserts=[edge(u, v) for u, v in pairs], retracts=retracts
+            )
+            assert stats.mode == "counting"
+            if retracts:
+                assert stats.overdeleted > 0
+            reference = evaluate(program, rebuild(live.edb))
+            assert model_atoms(live.model) == model_atoms(reference)
+
+    def test_retraction_inside_a_large_scc(self):
+        # One 60-node strongly connected component (a Hamiltonian cycle
+        # plus seeded chords): retracting a cycle edge overdeletes nearly
+        # all of t, and the rederived model must equal a fresh one.
+        from repro.core.parser import parse_theory
+
+        rng = random.Random(60)
+        nodes = [Constant(f"v{i}") for i in range(60)]
+        edges = {edge(nodes[i], nodes[(i + 1) % 60]) for i in range(60)}
+        while len(edges) < 120:
+            u, v = rng.sample(nodes, 2)
+            edges.add(edge(u, v))
+        program = parse_theory(CYCLE_PROGRAM)
+        live = LiveModel(program, Database(sorted(edges)))
+        assert len(live.answers("c")) == 60
+        for retract, insert in (
+            (edge(nodes[0], nodes[1]), None),
+            (edge(nodes[30], nodes[31]), edge(nodes[0], nodes[1])),
+        ):
+            assert retract in on_cycle(sorted(live.edb))
+            stats = live.apply(
+                inserts=[insert] if insert else [], retracts=[retract]
+            )
+            assert stats.overdeleted > 3_000
+            assert stats.rederived > 0
+            reference = evaluate(program, rebuild(live.edb))
+            assert model_atoms(live.model) == model_atoms(reference)
 
     def test_dred_path_definitely_runs(self):
         # A deterministic bridge retraction that must overdelete a chain

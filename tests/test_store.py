@@ -1,7 +1,8 @@
 """Unit tests for the columnar fact store (repro.core.store).
 
-Covers the symbol table, column relations (dedup, hash buckets, sorted
-bisect probes, range scans), content-hash memoization and its golden
+Covers the symbol table, column relations (dedup, the row map, hash
+buckets kept current across swap-remove deletion, range scans),
+content-hash memoization, its patched fingerprint lines and its golden
 value, and the snapshot lifecycle: round-trip equality, a byte-stable
 format, copy-on-write thaw of mapped columns, the cache-key contract,
 and the rejection of corrupted, truncated, and wrong-version files with
@@ -79,17 +80,22 @@ class TestColumnRelation:
         relation.add_row((0, 2))  # built bucket must pick up new rows
         assert relation.bucket(0)[0] == [0, 1]
 
-    def test_sorted_probe_with_append_tail(self):
+    def test_built_bucket_survives_remove_rows(self):
         relation = ColumnRelation(self.KEY)
-        # Enough rows to build the sorted index, then a tail on top.
-        for i in range(100):
-            relation.add_row((i % 7, i))
-        probe_before = sorted(relation.sorted_probe(0, 3))
-        for i in range(100, 120):
-            relation.add_row((i % 7, i))
-        expected = [i for i in range(120) if i % 7 == 3]
-        assert sorted(relation.sorted_probe(0, 3)) == expected
-        assert probe_before == expected[: len(probe_before)]
+        for row in [(0, 1), (0, 2), (1, 2), (2, 0)]:
+            relation.add_row(row)
+        bucket = relation.bucket(0)
+        assert relation.remove_rows([(0, 1), (9, 9)]) == 1
+        # Kept up to date in place, not reset for a lazy rebuild.
+        assert relation._buckets[0] is bucket
+        # The last row moved into the dead row's ordinal.
+        assert relation.row(0) == (2, 0)
+        assert {v: sorted(o) for v, o in bucket.items()} == {0: [1], 1: [2], 2: [0]}
+        assert relation.rowmap() == {(2, 0): 0, (0, 2): 1, (1, 2): 2}
+        # A value whose last row goes leaves the bucket.
+        assert relation.remove_rows([(1, 2)]) == 1
+        assert 1 not in bucket
+        assert relation.n_rows == 2
 
     def test_rows_between_is_the_delta(self):
         relation = ColumnRelation(self.KEY)
@@ -120,6 +126,28 @@ class TestContentHash:
         assert parse_database(GOLDEN_DATABASE).content_hash() == (
             "d8805c51177c97f8933843e2c3fcd296b43fea63e8611db4b9fe3ab27ada2c15"
         )
+
+    def test_kept_lines_track_add_and_remove(self):
+        # After the first hash, add/remove patch the sorted fingerprint
+        # lines instead of re-sorting; the digest must equal a fresh
+        # database's at every step, and a row-space mutation drops them.
+        db = parse_database(GOLDEN_DATABASE)
+        db.content_hash()
+        steps = [
+            ("add", fact("A", "z")),
+            ("add", fact("E", "a", "a")),
+            ("remove", fact("E", "b", "c")),
+            ("remove", fact("E", "x", "y")),  # absent: nothing changes
+            ("add", fact("E", "b", "c")),
+            ("remove", fact("A", "z")),
+        ]
+        for kind, atom in steps:
+            getattr(db, kind)(atom)
+            assert db._hash_lines is not None
+            assert db.content_hash() == Database(list(db)).content_hash()
+        db._remove_rows(("S", 1, 0), [(db._symtab._ids[C],)])
+        assert db._hash_lines is None
+        assert db.content_hash() == Database(list(db)).content_hash()
 
     def test_memo_regression_same_object_when_unchanged(self):
         # The registry keys its materialization LRU by this hash on

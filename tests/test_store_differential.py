@@ -1,8 +1,11 @@
 """Differential property tests for the fact store against its oracles.
 
-* Facade operations (``add`` return values, ``in``, iteration, ``len``,
-  ``==``, ``relations``/``constants``/``nulls``/``terms``,
-  ``atoms_matching``) must agree with a plain ``set[Atom]`` model.
+* Facade operations (``add``/``remove`` return values, ``in``,
+  iteration, ``len``, ``==``, ``relations``/``constants``/``nulls``/
+  ``terms``, ``atoms_matching``, ``content_hash``) must agree with a
+  plain ``set[Atom]`` model, also across interleaved additions and
+  swap-remove deletions, and the store's own indexes (row map, built
+  hash buckets, decoded-atom cache) must match the rows they index.
 * The row-executor Datalog fixpoint must equal the same program run on
   the naive homomorphism interpreter (``REPRO_NAIVE_JOIN=1``), which
   matches boxed atoms and checks negated literals by boxed membership.
@@ -57,6 +60,50 @@ def model_matching(model: set[Atom], key, bindings) -> set[Atom]:
     }
 
 
+def assert_indexes_match_rows(database: Database) -> None:
+    """Every relation's row map, built buckets and decoded atoms agree
+    with its columns, whatever order deletions left the rows in."""
+    for key, relation in database._relations.items():
+        rows = list(relation.iter_rows())
+        assert len(rows) == relation.n_rows
+        assert relation.rowmap() == {row: o for o, row in enumerate(rows)}
+        for position, bucket in enumerate(relation._buckets):
+            if bucket is None:
+                continue
+            expected: dict = {}
+            for ordinal, row in enumerate(rows):
+                expected.setdefault(row[position], []).append(ordinal)
+            assert {v: sorted(o) for v, o in bucket.items()} == expected
+        for ordinal, atom in enumerate(relation._decoded):
+            assert atom is None or atom == database._decode_row(key, rows[ordinal])
+
+
+def assert_agrees_with_model(database: Database, model: set[Atom], probes) -> None:
+    assert len(database) == len(model)
+    assert set(database) == model
+    assert_indexes_match_rows(database)
+    assert database.content_hash() == Database(model).content_hash()
+    for probe in probes:
+        assert (probe in database) == (probe in model)
+        args = probe.all_terms
+        for bindings in (
+            {0: args[0]},
+            {0: args[0], len(args) - 1: args[-1]},  # two bound (or all)
+            dict(enumerate(args)),
+        ):
+            assert database.atoms_matching(
+                probe.relation_key, bindings
+            ) == model_matching(model, probe.relation_key, bindings)
+
+
+#: One step of an interleaved sequence: add, remove, or remove and
+#: re-add the same atom (its row comes back at another ordinal).
+steps = st.lists(
+    st.tuples(st.sampled_from(["add", "remove", "readd"]), ground_atoms()),
+    max_size=30,
+)
+
+
 class TestFacadeAgreement:
     @given(atom_lists, atom_lists)
     @settings(max_examples=60, deadline=None)
@@ -90,6 +137,65 @@ class TestFacadeAgreement:
                 assert database.atoms_matching(
                     probe.relation_key, bindings
                 ) == model_matching(model, probe.relation_key, bindings)
+
+    @given(
+        initial=atom_lists,
+        sequence=steps,
+        probes=atom_lists,
+        from_snapshot=st.booleans(),
+        build=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_interleaved_add_remove(
+        self, initial, sequence, probes, from_snapshot, build, tmp_path_factory
+    ):
+        if from_snapshot:
+            path = str(tmp_path_factory.mktemp("snap") / "model.snap")
+            save_snapshot(Database(initial), path)
+            database = load_snapshot(path)  # removals thaw mapped columns
+        else:
+            database = Database(initial)
+        model = set(initial)
+        if build:
+            # Build every index first, so deletions must keep them current.
+            for relation in database._relations.values():
+                relation.rowmap()
+                for position in range(relation.width):
+                    relation.bucket(position)
+            database.content_hash()
+            for atom in initial:
+                database.atoms_matching(atom.relation_key, dict(enumerate(atom.args)))
+        for kind, atom in sequence:
+            if kind == "add":
+                assert database.add(atom) == (atom not in model)
+                model.add(atom)
+            else:
+                assert database.remove(atom) == (atom in model)
+                model.discard(atom)
+                if kind == "readd":
+                    assert_agrees_with_model(database, model, [atom])
+                    assert database.add(atom)
+                    model.add(atom)
+            assert_agrees_with_model(database, model, probes + [atom])
+
+    def test_remove_from_snapshot_and_readd(self, tmp_path):
+        atoms = [
+            Atom("T", (CONSTANTS[i % 4], CONSTANTS[(i + 1) % 4], NULLS[i % 2]))
+            for i in range(8)
+        ] + [Atom("E", (CONSTANTS[0], CONSTANTS[1]))]
+        path = str(tmp_path / "model.snap")
+        save_snapshot(Database(atoms), path)
+        database = load_snapshot(path)
+        model = set(atoms)
+        database.content_hash()
+        for atom in (atoms[0], atoms[5], atoms[0], atoms[-1]):
+            assert database.remove(atom) == (atom in model)
+            model.discard(atom)
+            assert_agrees_with_model(database, model, atoms)
+        for atom in (atoms[0], atoms[-1]):
+            assert database.add(atom)
+            model.add(atom)
+            assert_agrees_with_model(database, model, atoms)
 
 
 def assert_agrees_with_interpreter(program: Theory, database: Database) -> None:
