@@ -18,10 +18,12 @@ relations' row maps.  ``REPRO_NAIVE_JOIN=1`` and over-long bodies run on
 the reference interpreter inside that function.
 
 The semi-naive loop (:func:`seminaive`) is also the Datalog phase of the
-restricted chase (:mod:`repro.chase.runner`).  There it starts from a
-*seed* — the atoms an existential pass added to a database already
-closed under the rules — and its first iteration pins body atoms of any
-relation to the seed, not only relations the rules define.
+restricted chase (:mod:`repro.chase.runner`) and of incremental
+maintenance (:mod:`repro.incremental`).  There it starts from a *seed* —
+the atoms an existential pass, an insert batch or a rederive just added,
+where every fact derivable without them is already present — and its
+first iteration pins body atoms of any relation to the seed, not only
+relations the rules define.
 
 The built-in ``ACDom`` relation is handled virtually by the homomorphism
 layer; its extension is the (frozen) active constant domain of the input
@@ -73,14 +75,16 @@ def _tick(
     return None
 
 
-def _ingest(database: Database, staged: dict) -> tuple[dict, int]:
-    """Add one iteration's staged ID rows.
+def ingest(database: Database, staged: dict) -> tuple[dict, int]:
+    """Add one iteration's staged ID rows (or the incremental engine's
+    rederived ones).
 
     Returns the new delta — relation key → first new row ordinal, for
     the relations that grew — plus the number of genuinely new facts.
     Rows are deduplicated and appended at the end, and nothing deletes
     during a fixpoint, so the facts added this iteration are exactly the
-    ordinals ``[mark, n_rows)`` of each touched relation."""
+    ordinals ``[mark, n_rows)`` of each touched relation: the delta
+    seeds :func:`seminaive`."""
     marks = {key: database.relation_size(key) for key in staged}
     added = 0
     add_row = database._add_row
@@ -160,16 +164,17 @@ def seminaive(
     obs=None,
 ) -> tuple[Optional[str], Optional[dict]]:
     """Run ``rules`` to their fixpoint over ``database`` semi-naively,
-    mutating it.  The one semi-naive loop: stratum evaluation and the
-    restricted chase's Datalog phases both run through it.
+    mutating it.  The one semi-naive loop: stratum evaluation, the
+    restricted chase's Datalog phases and incremental maintenance
+    (:mod:`repro.incremental`) all run through it.
 
     ``delta=None`` makes the first iteration fire every rule against the
     full database.  Otherwise ``delta`` maps relation keys to the first
-    ordinal of their new rows — a *seed*: ``database`` minus the seed
-    must already be closed under ``rules`` — and the first iteration
-    pins one body atom per rule to the seed, whatever relation it
-    reads.  Every later iteration pins to the rows the previous one
-    added.
+    ordinal of their new rows — a *seed*: every fact ``rules`` derive
+    from ``database`` minus the seed must already be in ``database`` —
+    and the first iteration pins one body atom per rule to the seed,
+    whatever relation it reads.  Every later iteration pins to the rows
+    the previous one added.
 
     ``tick(added)`` runs before every iteration with the number of
     facts the previous iteration added (``0`` before the first); a
@@ -188,7 +193,7 @@ def seminaive(
         if reason is not None:
             return reason, delta
         groups = None if delta is None else delta_groups(database, delta)
-        delta, added = _ingest(database, _derive(prepared, database, groups))
+        delta, added = ingest(database, _derive(prepared, database, groups))
         if obs is not None:
             obs.observe("delta_size", added)
             obs.inc("atoms_derived", added)
@@ -252,7 +257,7 @@ def _evaluate_stratum_naive(
         reason = _tick(governor, iterations, max_iterations)
         if reason is not None:
             return reason
-        grown, added = _ingest(database, _derive(prepared, database, None))
+        grown, added = ingest(database, _derive(prepared, database, None))
         if obs is not None:
             obs.observe("delta_size", added)
             obs.inc("atoms_derived", added)

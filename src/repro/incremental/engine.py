@@ -2,27 +2,32 @@
 
 A :class:`LiveModel` owns a materialized Datalog fixpoint and absorbs
 ``insert``/``retract`` fact batches in time proportional to the delta
-instead of the database:
+instead of the database.  It fires rules only as the Datalog engine
+does: through the compiled row executors of :mod:`repro.core.plan`, and
+to a fixpoint through :func:`repro.datalog.engine.seminaive`.
 
-* **Counting path** (negation-free stratified programs on the columnar
-  store): the live model keeps its extensional rows, encoded in the
-  model's ID space, as one set per relation, and deletion decisions are
-  made by *exact recounts* — for a candidate row the engine binds the
-  head variables of every defining rule and asks the compiled adorned
-  join plan whether any body assignment survives.  No support count is
-  stored: incrementing counts through delta-pinned joins would find a
-  derivation using two delta facts once per pinned index, and drifting
-  counts silently keep unsupported facts.
-* **DRed-style delete** (overdelete → rederive → propagate) for the
-  recursive case: the overdelete closure is computed *before* any
-  physical removal by pinning the compiled all-rows rule executors
+* **Counting path** (negation-free programs, which stratification puts
+  in one stratum): the live model keeps its extensional rows, encoded
+  in the model's ID space, as one set per relation.  No support count
+  is stored: incrementing counts through delta-pinned joins would find
+  a derivation using two delta facts once per pinned index, and
+  drifting counts silently keep unsupported facts.  An insert batch
+  appends its rows and seeds ``seminaive`` with the relations' sizes
+  taken before the appends.
+* **DRed delete** (overdelete → rederive → propagate): the overdelete
+  closure is computed *before* any physical removal by pinning the
+  compiled all-rows rule executors
   (:func:`~repro.core.plan.derive_rule_rows_all`) on the deleted rows
   against the still-intact model — forced rows match literally whether
   or not they are present, so later closure rounds keep working after
-  rows are conceptually gone.  Rederivation then recounts each removed
-  row against the surviving model and semi-naive insert propagation
-  restores the rest; cyclically-supported garbage stays dead because
-  the whole cycle is overdeleted and no recount finds outside support.
+  rows are conceptually gone.  After the removal, every rule fires once
+  per head atom with that head pinned on its relation's deleted rows
+  (:func:`~repro.core.plan.derive_rule_rows` on ``(head,) + body``): the
+  head binds from each row, checking its constants and repeated
+  variables, and the body joins the surviving model.  The rows found
+  seed ``seminaive``, which restores the rest; cyclically-supported
+  garbage stays dead because the whole cycle is overdeleted and no
+  pinned rule finds outside support.
 * **Delta-restricted chase** (:class:`ChaseLiveModel`) for existential
   theories the advisor proved terminating: insert-only batches resume
   the restricted chase from the old fixpoint
@@ -39,20 +44,14 @@ exactly that.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from ..core.atoms import Atom, RelationKey
 from ..core.database import Database
-from ..core.plan import (
-    cached_plan,
-    derive_rule_rows,
-    derive_rule_rows_all,
-    execute_plan,
-)
+from ..core.plan import derive_rule_rows, derive_rule_rows_all
 from ..core.store import ColumnDelta
-from ..core.terms import Constant, Term, Variable
+from ..core.terms import Constant
 from ..core.theory import ACDOM, Theory
 from ..chase.runner import (
     RESTRICTED,
@@ -60,9 +59,8 @@ from ..chase.runner import (
     chase as run_chase,
     extend_chase,
 )
-from ..datalog.engine import answers_in, evaluate
-from ..datalog.stratification import Stratification, stratify
-from ..obs.runtime import current as _obs_current
+from ..datalog.engine import answers_in, evaluate, ingest, seminaive
+from ..obs.runtime import current as _obs_current, span as _obs_span
 from ..robustness.errors import exhausted_error
 
 __all__ = [
@@ -109,7 +107,6 @@ class UpdateStats:
     overdeleted: int = 0
     rederived: int = 0
     fallback: Optional[str] = None
-    phase_ms: dict[str, float] = field(default_factory=dict)
 
     @property
     def delta_size(self) -> int:
@@ -132,6 +129,54 @@ class UpdateStats:
             "delta_size": self.delta_size,
             "fallback": self.fallback,
         }
+
+
+def _account(stats: UpdateStats) -> None:
+    """Fold one update into the process counters and, when
+    instrumentation is active, into its metrics."""
+    _stats["updates"] += 1
+    _stats["inserted"] += stats.inserted
+    _stats["retracted"] += stats.retracted
+    _stats["derived_added"] += stats.derived_added
+    _stats["derived_removed"] += stats.derived_removed
+    _stats["overdeleted"] += stats.overdeleted
+    _stats["rederived"] += stats.rederived
+    if stats.fallback is not None:
+        _stats["fallbacks"] += 1
+    obs = _obs_current()
+    if obs is not None:
+        obs.observe("incremental.delta_size", stats.delta_size)
+        if stats.rederived:
+            obs.inc("incremental.rederived", stats.rederived)
+        if stats.fallback is not None:
+            obs.inc("incremental.fallbacks")
+
+
+def _recompute(
+    live,
+    materialize: Callable[[Database], Database],
+    inserts: Iterable[Atom],
+    retracts: Iterable[Atom],
+    reason: str,
+) -> UpdateStats:
+    """The reported fallback: apply the batch to ``live.edb`` (retracts
+    first) and re-materialize ``live.model`` from it.  The derived
+    counts are the model's change net of the extensional one."""
+    stats = UpdateStats(mode="recompute", fallback=reason)
+    old_size = len(live.model)
+    for atom in retracts:
+        if live.edb.remove(atom):
+            stats.retracted += 1
+    for atom in inserts:
+        if live.edb.add(atom):
+            stats.inserted += 1
+    live.model = materialize(live.edb)
+    derived = len(live.model) - old_size - stats.inserted + stats.retracted
+    if derived >= 0:
+        stats.derived_added = derived
+    else:
+        stats.derived_removed = -derived
+    return stats
 
 
 def _datalog_fallback_reason(program: Theory) -> Optional[str]:
@@ -164,11 +209,9 @@ class LiveModel:
         program: Theory,
         database: Database,
         *,
-        stratification: Optional[Stratification] = None,
         model: Optional[Database] = None,
     ) -> None:
         self.program = program
-        self.stratification = stratification or stratify(program)
         self.edb = database.copy()
         self.edb.unfreeze_acdom()
         self.fallback_reason = _datalog_fallback_reason(program)
@@ -177,33 +220,18 @@ class LiveModel:
         # cached or snapshot-loaded fixpoint) instead of re-evaluating;
         # it must equal ``evaluate(program, database)`` and ownership
         # transfers to the live model (updates mutate it in place).
-        self.model = (
-            model
-            if model is not None
-            else evaluate(program, self.edb, stratification=self.stratification)
-        )
-        #: head relation key -> [(head atom, body)] across the program,
-        #: for the exact-recount derivability probe.
-        self._head_index: dict[RelationKey, list] = {}
-        #: head relation name -> index of its defining stratum.
-        self._stratum_of: dict[str, int] = {}
-        for index, stratum in enumerate(self.stratification):
-            for rule in stratum:
-                body = tuple(rule.positive_body())
-                for atom in rule.head:
-                    self._head_index.setdefault(atom.relation_key, []).append(
-                        (atom, body)
-                    )
-                    self._stratum_of[atom.relation] = index
+        self.model = model if model is not None else evaluate(program, self.edb)
+        #: Per rule: its body and head tuples, built once so the plan
+        #: cache is keyed stably.
+        self._rules = [
+            (tuple(rule.positive_body()), tuple(rule.head)) for rule in program
+        ]
         #: relation key -> the extensional rows, encoded in the model's
         #: ID space (counting mode only).
         self._edb_rows: dict[RelationKey, set[tuple[int, ...]]] = {}
         if self.mode == "counting":
             self._adopt_edb()
 
-    # ------------------------------------------------------------------
-    # adoption
-    # ------------------------------------------------------------------
     def _adopt_edb(self) -> None:
         """Encode every extensional fact in the model's ID space."""
         model = self.model
@@ -216,9 +244,6 @@ class LiveModel:
             )
             self._edb_rows.setdefault(key, set()).add(row)
 
-    # ------------------------------------------------------------------
-    # public surface
-    # ------------------------------------------------------------------
     def answers(self, output: str) -> set[tuple[Constant, ...]]:
         """All-constant tuples of the output relation in the model."""
         return answers_in(self.model, output)
@@ -235,73 +260,29 @@ class LiveModel:
         statistics; the model afterwards equals a from-scratch
         evaluation of the updated input database.
         """
-        obs = _obs_current()
-        span = (
-            obs.span("incremental.update", kind=self.kind, mode=self.mode)
-            if obs is not None
-            else nullcontext()
-        )
-        with span:
+        with _obs_span("incremental.update", kind=self.kind, mode=self.mode):
             if self.mode == "recompute":
-                stats = self._apply_recompute(
-                    inserts, retracts, self.fallback_reason or "recompute"
+                stats = _recompute(
+                    self,
+                    lambda edb: evaluate(self.program, edb),
+                    inserts,
+                    retracts,
+                    self.fallback_reason,
                 )
             else:
-                stats = self._apply_counting(inserts, retracts, obs)
-        self._account(stats, obs)
-        return stats
-
-    def _account(self, stats: UpdateStats, obs) -> None:
-        _stats["updates"] += 1
-        _stats["inserted"] += stats.inserted
-        _stats["retracted"] += stats.retracted
-        _stats["derived_added"] += stats.derived_added
-        _stats["derived_removed"] += stats.derived_removed
-        _stats["overdeleted"] += stats.overdeleted
-        _stats["rederived"] += stats.rederived
-        if stats.fallback is not None:
-            _stats["fallbacks"] += 1
-        if obs is not None:
-            obs.observe("incremental.delta_size", stats.delta_size)
-            if stats.rederived:
-                obs.inc("incremental.rederived", stats.rederived)
-            if stats.fallback is not None:
-                obs.inc("incremental.fallbacks")
-
-    # ------------------------------------------------------------------
-    # recompute fallback
-    # ------------------------------------------------------------------
-    def _apply_recompute(
-        self, inserts, retracts, reason: str
-    ) -> UpdateStats:
-        stats = UpdateStats(mode="recompute", fallback=reason)
-        old_size = len(self.model)
-        for atom in retracts:
-            if self.edb.remove(atom):
-                stats.retracted += 1
-        for atom in inserts:
-            if self.edb.add(atom):
-                stats.inserted += 1
-        self.model = evaluate(
-            self.program, self.edb, stratification=self.stratification
-        )
-        grown = len(self.model) - old_size
-        if grown >= 0:
-            stats.derived_added = grown
-        else:
-            stats.derived_removed = -grown
+                stats = self._apply_counting(inserts, retracts)
+        _account(stats)
         return stats
 
     # ------------------------------------------------------------------
     # counting / DRed maintenance
     # ------------------------------------------------------------------
-    def _apply_counting(self, inserts, retracts, obs) -> UpdateStats:
+    def _apply_counting(self, inserts, retracts) -> UpdateStats:
         stats = UpdateStats(mode="counting")
         model = self.model
         ids = model._symtab._ids
         edb_rows = self._edb_rows
 
-        # -- retract batch --------------------------------------------
         seed: dict[RelationKey, set[tuple[int, ...]]] = {}
         for atom in retracts:
             if not self.edb.remove(atom):
@@ -312,205 +293,111 @@ class LiveModel:
             edb_rows[key].discard(row)
             seed.setdefault(key, set()).add(row)
         if seed:
-            self._delete(seed, stats, obs)
+            self._delete(seed, stats)
 
-        # -- insert batch ---------------------------------------------
-        fresh: dict[RelationKey, list[tuple[int, ...]]] = {}
+        # Each relation's size before the batch appends to it: the rows
+        # from there on are the seed of the insert propagation.
+        marks: dict[RelationKey, int] = {}
         for atom in inserts:
             if not self.edb.add(atom):
                 continue  # duplicate extensional insert
             stats.inserted += 1
             key = atom.relation_key
+            marks.setdefault(key, model.relation_size(key))
             # An already derived row merely gains extensional status.
-            was_new = model.add(atom)
-            row = tuple(ids[term] for term in atom.all_terms)
-            edb_rows.setdefault(key, set()).add(row)
-            if was_new:
-                fresh.setdefault(key, []).append(row)
-        if fresh:
-            self._insert_propagate(fresh, stats, obs)
+            model.add(atom)
+            edb_rows.setdefault(key, set()).add(
+                tuple(ids[term] for term in atom.all_terms)
+            )
+        if marks:
+            with _obs_span("incremental.propagate"):
+                stats.derived_added += self._propagate(marks)
         return stats
 
-    # -- deletion: overdelete → physical removal → rederive/propagate --
-    def _delete(self, seed, stats: UpdateStats, obs) -> None:
+    def _delete(self, seed, stats: UpdateStats) -> None:
+        """Overdelete → physical removal → rederive → propagate."""
         model = self.model
-        span = (
-            obs.span("incremental.overdelete") if obs is not None else nullcontext()
-        )
-        with span:
-            deleted: dict[RelationKey, set[tuple[int, ...]]] = {
-                key: set(rows) for key, rows in seed.items()
-            }
+        with _obs_span("incremental.overdelete"):
+            deleted = {key: set(rows) for key, rows in seed.items()}
             # Overdelete closure, computed against the *intact* model:
             # forced rows match literally whether present or not, and
             # other body atoms still see conceptually-deleted partners —
             # the standard DRed over-approximation.
-            for stratum in self.stratification:
-                bodies = [tuple(rule.positive_body()) for rule in stratum]
-                heads = [tuple(rule.head) for rule in stratum]
-                pending = {key: rows for key, rows in deleted.items()}
-                while pending:
-                    found: dict = {}
-                    for body, rule_heads in zip(bodies, heads):
-                        for index, atom in enumerate(body):
-                            rows = pending.get(atom.relation_key)
-                            if not rows:
-                                continue
+            pending = seed
+            while pending:
+                found: dict = {}
+                for body, heads in self._rules:
+                    for index, atom in enumerate(body):
+                        rows = pending.get(atom.relation_key)
+                        if rows:
                             derive_rule_rows_all(
                                 body,
-                                rule_heads,
+                                heads,
                                 model,
                                 (index, [ColumnDelta(atom.relation_key, list(rows))]),
                                 found,
                             )
-                    next_pending: dict = {}
-                    for key, rows in found.items():
-                        present = model._existing_rows(key)
-                        already = deleted.get(key, ())
-                        # Extensional rows keep their support.
-                        extensional = self._edb_rows.get(key, ())
-                        over = {
-                            row
-                            for row in rows
-                            if row in present
-                            and row not in already
-                            and row not in extensional
-                        }
-                        if over:
-                            deleted.setdefault(key, set()).update(over)
-                            next_pending[key] = over
-                            stats.overdeleted += len(over)
-                    pending = next_pending
+                pending = {}
+                for key, rows in found.items():
+                    present = model._existing_rows(key)
+                    already = deleted.get(key, ())
+                    # Extensional rows keep their support.
+                    extensional = self._edb_rows.get(key, ())
+                    over = {
+                        row
+                        for row in rows
+                        if row in present
+                        and row not in already
+                        and row not in extensional
+                    }
+                    if over:
+                        deleted.setdefault(key, set()).update(over)
+                        pending[key] = over
+                        stats.overdeleted += len(over)
 
             # Physical removal (swap-remove) of retracted ∪ overdeleted.
-            removed_total = 0
+            removed = 0
             for key, rows in deleted.items():
-                removed_total += model._remove_rows(key, rows)
+                removed += model._remove_rows(key, rows)
 
-        # Rederive + propagate, bottom-up so recounts only ever consult
-        # final lower strata.
-        span = (
-            obs.span("incremental.rederive") if obs is not None else nullcontext()
-        )
-        with span:
-            restored = 0
-            for index, stratum in enumerate(self.stratification):
-                frontier: dict[RelationKey, list[tuple[int, ...]]] = {}
-                for key, rows in deleted.items():
-                    if self._stratum_of.get(key[0]) != index:
-                        continue
-                    for row in sorted(rows):
-                        if not self._derivable(key, row):
-                            continue
-                        model._add_row(key, row)
-                        restored += 1
-                        frontier.setdefault(key, []).append(row)
-                if frontier:
-                    restored += self._propagate_stratum(stratum, frontier, stats)
-            stats.rederived += restored
-            # Net derived rows gone from the model: everything removed
-            # except the retracted base facts and whatever came back.
-            stats.derived_removed += max(
-                0, removed_total - stats.retracted - restored
-            )
-
-    def _derivable(self, key: RelationKey, row: tuple[int, ...]) -> bool:
-        """Does some rule still derive ``row`` from the surviving model?
-        — the exact-recount support probe.
-
-        Binds the defining rule's head variables to the row's terms and
-        asks the compiled adorned plan for one witness assignment; the
-        probe is per-row, so deletion cost tracks the delta, not the
-        database.
-        """
-        model = self.model
-        terms = model._symtab._terms
-        decoded = tuple(terms[i] for i in row)
-        for head_atom, body in self._head_index.get(key, ()):
-            binding: dict[Variable, Term] = {}
-            matched = True
-            for position, term in enumerate(head_atom.all_terms):
-                value = decoded[position]
-                if isinstance(term, Variable):
-                    bound = binding.get(term)
-                    if bound is None:
-                        binding[term] = value
-                    elif bound != value:
-                        matched = False
-                        break
-                elif term != value:
-                    matched = False
-                    break
-            if not matched:
-                continue
-            plan = cached_plan(body, frozenset(binding), None)
-            witness = next(
-                iter(execute_plan(plan, model, partial=binding)), None
-            )
-            if witness is not None:
-                return True
-        return False
-
-    # -- insertion: semi-naive propagation stratum by stratum ----------
-    def _insert_propagate(self, fresh, stats: UpdateStats, obs) -> None:
-        span = (
-            obs.span("incremental.propagate") if obs is not None else nullcontext()
-        )
-        with span:
-            # ``accumulated`` carries every new row seen so far (the
-            # extensional inserts plus additions from lower strata); each
-            # stratum's first round pins on all of it, later rounds only
-            # on the stratum's own newly derived rows.
-            accumulated: dict[RelationKey, list[tuple[int, ...]]] = {
-                key: list(rows) for key, rows in fresh.items()
-            }
-            for stratum in self.stratification:
-                added = self._propagate_stratum(
-                    stratum, accumulated, stats, collector=accumulated
-                )
-                stats.derived_added += added
-
-    def _propagate_stratum(
-        self,
-        stratum: Theory,
-        frontier: dict,
-        stats: UpdateStats,
-        collector: Optional[dict] = None,
-    ) -> int:
-        """Semi-naive insert propagation of ``frontier`` through one
-        stratum's rules; the frontier rows must already be present in
-        the model.  Returns the number of rows added; ``collector``
-        (when given) also receives them, keyed by relation."""
-        model = self.model
-        bodies = [tuple(rule.positive_body()) for rule in stratum]
-        heads = [tuple(rule.head) for rule in stratum]
-        delta = frontier
-        total = 0
-        while delta:
+        with _obs_span("incremental.rederive"):
+            # Each rule once per head, the head pinned on its relation's
+            # deleted rows and the body joined against the survivors:
+            # the deleted rows with a one-step derivation left.
             staged: dict = {}
-            for body, rule_heads in zip(bodies, heads):
-                for index, atom in enumerate(body):
-                    rows = delta.get(atom.relation_key)
-                    if not rows:
-                        continue
-                    derive_rule_rows(
-                        body,
-                        rule_heads,
-                        model,
-                        (index, [ColumnDelta(atom.relation_key, list(rows))]),
-                        staged,
-                    )
-            next_delta: dict = {}
-            for key, rows in staged.items():
-                added = [row for row in sorted(rows) if model._add_row(key, row)]
-                if not added:
-                    continue
-                total += len(added)
-                next_delta[key] = added
-                if collector is not None:
-                    collector.setdefault(key, []).extend(added)
-            delta = next_delta
-        return total
+            for body, heads in self._rules:
+                for head in heads:
+                    rows = deleted.get(head.relation_key)
+                    if rows:
+                        derive_rule_rows(
+                            (head,) + body,
+                            (head,),
+                            model,
+                            (0, [ColumnDelta(head.relation_key, list(rows))]),
+                            staged,
+                        )
+            delta, restored = ingest(model, staged)
+            if delta:
+                restored += self._propagate(delta)
+        # Every row these phases add was deleted: the surviving model is
+        # part of the old fixpoint, and so is whatever it derives.
+        stats.rederived += restored
+        # Net derived rows gone from the model: everything removed
+        # except the retracted base facts and whatever came back.
+        stats.derived_removed += max(0, removed - stats.retracted - restored)
+
+    def _propagate(self, delta: dict) -> int:
+        """Run the program to its fixpoint on the engine's semi-naive
+        loop, seeded with ``delta`` (relation key → first new ordinal);
+        returns the number of rows added."""
+        added = 0
+
+        def tick(count: int) -> None:
+            nonlocal added
+            added += count
+
+        seminaive(self.program, self.model, delta, tick)
+        return added
 
 
 class RecomputeLiveModel:
@@ -547,37 +434,23 @@ class RecomputeLiveModel:
         inserts: Iterable[Atom] = (),
         retracts: Iterable[Atom] = (),
     ) -> UpdateStats:
-        obs = _obs_current()
-        span = (
-            obs.span("incremental.update", kind=self.kind, mode=self.mode)
-            if obs is not None
-            else nullcontext()
-        )
-        with span:
-            stats = UpdateStats(mode="recompute", fallback=self.fallback_reason)
-            old_size = len(self.model)
-            for atom in retracts:
-                if self.edb.remove(atom):
-                    stats.retracted += 1
-            for atom in inserts:
-                if self.edb.add(atom):
-                    stats.inserted += 1
-            self.model = self._materialize(self.edb)
-            grown = len(self.model) - old_size
-            if grown >= 0:
-                stats.derived_added = grown
-            else:
-                stats.derived_removed = -grown
-        _stats["updates"] += 1
-        _stats["inserted"] += stats.inserted
-        _stats["retracted"] += stats.retracted
-        _stats["derived_added"] += stats.derived_added
-        _stats["derived_removed"] += stats.derived_removed
-        _stats["fallbacks"] += 1
-        if obs is not None:
-            obs.observe("incremental.delta_size", stats.delta_size)
-            obs.inc("incremental.fallbacks")
+        with _obs_span("incremental.update", kind=self.kind, mode=self.mode):
+            stats = _recompute(
+                self, self._materialize, inserts, retracts, self.fallback_reason
+            )
+        _account(stats)
         return stats
+
+
+def _chased(result) -> Database:
+    """A chase result's instance; a truncated run raises the typed
+    exhaustion error."""
+    if not result.complete:
+        reason = result.truncated_reason or "budget"
+        raise exhausted_error(
+            reason, f"incremental chase exhausted ({reason})", None
+        )
+    return result.database
 
 
 class ChaseLiveModel:
@@ -612,18 +485,12 @@ class ChaseLiveModel:
         # ``model`` adopts an existing *complete* chase instance (a
         # cached or snapshot-loaded materialization) instead of
         # re-chasing; ownership transfers to the live model.
-        self.model = model if model is not None else self._full_chase()
+        self.model = model if model is not None else self._full_chase(self.edb)
 
-    def _full_chase(self) -> Database:
-        result = run_chase(
-            self.theory, self.edb, policy=self.policy, budget=self.budget
+    def _full_chase(self, edb: Database) -> Database:
+        return _chased(
+            run_chase(self.theory, edb, policy=self.policy, budget=self.budget)
         )
-        if not result.complete:
-            reason = result.truncated_reason or "budget"
-            raise exhausted_error(
-                reason, f"incremental chase exhausted ({reason})", None
-            )
-        return result.database
 
     def answers(self, output: str) -> set[tuple[Constant, ...]]:
         return answers_in(self.model, output)
@@ -633,65 +500,38 @@ class ChaseLiveModel:
         inserts: Iterable[Atom] = (),
         retracts: Iterable[Atom] = (),
     ) -> UpdateStats:
-        obs = _obs_current()
-        span = (
-            obs.span("incremental.update", kind=self.kind)
-            if obs is not None
-            else nullcontext()
-        )
-        with span:
-            stats = UpdateStats(mode="chase_delta")
-            old_size = len(self.model)
-            for atom in retracts:
-                if self.edb.remove(atom):
-                    stats.retracted += 1
-            applied: list[Atom] = []
-            for atom in inserts:
-                if self.edb.add(atom):
-                    stats.inserted += 1
-                    applied.append(atom)
-            if stats.retracted or self.fallback_reason is not None:
-                stats.mode = "recompute"
-                stats.fallback = self.fallback_reason or (
-                    "existential_retraction"
+        retracts = list(retracts)
+        with _obs_span("incremental.update", kind=self.kind):
+            if self.fallback_reason is not None or any(
+                atom in self.edb for atom in retracts
+            ):
+                stats = _recompute(
+                    self,
+                    self._full_chase,
+                    inserts,
+                    retracts,
+                    self.fallback_reason or "existential_retraction",
                 )
-                self.model = self._full_chase()
-            elif applied:
-                chase_span = (
-                    obs.span("incremental.chase_delta")
-                    if obs is not None
-                    else nullcontext()
-                )
-                with chase_span:
-                    result = extend_chase(
-                        self.theory,
-                        self.model,
-                        applied,
-                        policy=self.policy,
-                        budget=self.budget,
-                    )
-                if not result.complete:
-                    reason = result.truncated_reason or "budget"
-                    raise exhausted_error(
-                        reason,
-                        f"incremental chase exhausted ({reason})",
-                        None,
-                    )
-                self.model = result.database
-            grown = len(self.model) - old_size
-            if grown >= 0:
-                stats.derived_added = max(0, grown - stats.inserted)
             else:
-                stats.derived_removed = -grown
-        _stats["updates"] += 1
-        _stats["inserted"] += stats.inserted
-        _stats["retracted"] += stats.retracted
-        _stats["derived_added"] += stats.derived_added
-        _stats["derived_removed"] += stats.derived_removed
-        if stats.fallback is not None:
-            _stats["fallbacks"] += 1
-        if obs is not None:
-            obs.observe("incremental.delta_size", stats.delta_size)
-            if stats.fallback is not None:
-                obs.inc("incremental.fallbacks")
+                stats = self._extend(inserts)
+        _account(stats)
+        return stats
+
+    def _extend(self, inserts: Iterable[Atom]) -> UpdateStats:
+        """Resume the restricted chase from the current fixpoint."""
+        stats = UpdateStats(mode="chase_delta")
+        old_size = len(self.model)
+        applied = [atom for atom in inserts if self.edb.add(atom)]
+        stats.inserted = len(applied)
+        if applied:
+            with _obs_span("incremental.chase_delta"):
+                result = extend_chase(
+                    self.theory,
+                    self.model,
+                    applied,
+                    policy=self.policy,
+                    budget=self.budget,
+                )
+            self.model = _chased(result)
+        stats.derived_added = max(0, len(self.model) - old_size - stats.inserted)
         return stats
