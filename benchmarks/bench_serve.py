@@ -29,9 +29,10 @@ between the *best warm pass* of each mode (min latency / max throughput
 over passes 2+ across rounds), which is how the "< 5% p95 overhead"
 acceptance bar is measured.
 
-The JSON record lands next to the ``run_bench.py`` trajectory files and
-follows the same spirit: pinned workload, machine-readable, embeds the
-environment.
+The JSON record pins its workload, is machine-readable and embeds the
+environment.  The repository benchmark (``perfbench/``) covers served
+reads and writes; this script stays for what perfbench lacks
+(``--compare-tracing`` and ``--chaos-rate``).
 """
 
 from __future__ import annotations
