@@ -49,7 +49,10 @@ Candidate selection probes the relation's hash bucket at every bound
 position of an atom and scans the *smallest* bucket, verifying the
 other bound positions against the columns — cheaper than materializing
 set intersections.  When an atom constrains exactly one position, the
-bucket is exact and verification is skipped entirely.
+bucket is exact and verification is skipped entirely.  A *fully bound*
+atom — every position a constant or a slot bound by an earlier step —
+opens no loop at all: it holds iff its encoded row is in the relation's
+row map, one probe (``{}`` stands in for an absent relation).
 
 The built-in ``ACDom`` relation compiles to dedicated step kinds: a
 *check* when its term is already fixed, an *enumeration* of the cached
@@ -633,9 +636,9 @@ def _generate(
     are read once in the prelude.  Used by the Datalog engine's fixpoint
     loop (see :func:`derive_rule_rows`); requires an unadorned plan.
     ``all_rows`` drops the existing-row skip so *every* derived head row
-    is staged, present or not — the incremental engine's
-    overdelete/affected-row discovery needs head rows that are already
-    (or still) in the model (see :func:`derive_rule_rows_all`).
+    is staged, present or not — the incremental engine's retraction
+    needs head rows that are already (or still) in the model (see
+    :func:`derive_rule_rows_all`).
     """
     e = _Emitter()
     steps = shape.steps
@@ -694,6 +697,12 @@ def _generate(
             (position, f"c{index}") for position, index in step.const_items
         ] + [(position, f"s{slot}") for position, slot in step.bound_items]
         step_items[i] = items
+        key = e.ref(step.relation_key, "K")
+        e.emit(f"rl{i} = RELS.get({key})")
+        if not step.bind_items and not step.check_items:
+            # Fully bound: one probe of the row map, no bucket.
+            e.emit(f"RM{i} = {{}} if rl{i} is None else rl{i}.rowmap()")
+            continue
         bucket_positions = sorted({position for position, _ in items})
         column_positions = set()
         if len(items) > 1:
@@ -701,8 +710,6 @@ def _generate(
         column_positions.update(position for position, _ in step.bind_items)
         column_positions.update(position for position, _ in step.check_items)
         column_positions = sorted(column_positions)
-        key = e.ref(step.relation_key, "K")
-        e.emit(f"rl{i} = RELS.get({key})")
         e.emit(f"if rl{i} is None:")
         e.indent += 1
         assigned = False
@@ -810,6 +817,13 @@ def _generate(
 
         # _ATOM
         items = step_items[i]
+        if not step.bind_items and not step.check_items:
+            # Every position is a constant or an earlier binding: the
+            # atom holds iff its encoded row is in the row map.
+            values = [value for _, value in sorted(items)]
+            row = f"({', '.join(values)},)" if values else "()"
+            e.emit(f"if {row} not in RM{i}: {fail}")
+            continue
         if not items:
             e.emit(f"for o{i} in range(N{i}):")
         elif len(items) == 1:
@@ -921,11 +935,13 @@ def derive_rule_rows_all(
     """Like :func:`derive_rule_rows`, but stage *every* derived head row
     — including rows already present in the database.
 
-    The incremental engine (``repro.incremental``) uses this to discover
-    which existing model rows are *derivable from* a delta: during
-    overdeletion the affected heads are by definition still present, so
-    the existing-row skip of the normal executor would hide exactly the
-    rows being sought.  Executors are cached per ``(heads, mode)``.
+    The incremental engine (``repro.incremental``) fires its
+    Backward/Forward retraction through this: the consequences of a wave
+    of deleted facts, and the instances deriving a checked fact (the
+    head pinned on it, an instance atom as the head), are model rows
+    that are by definition still present, so the existing-row skip of
+    the normal executor would hide exactly the rows being sought.
+    Executors are cached per ``(heads, mode)``.
     """
     _derive_rows(body, heads, (), database, forced, out, all_rows=True)
 

@@ -20,8 +20,8 @@ the reference interpreter inside that function.
 The semi-naive loop (:func:`seminaive`) is also the Datalog phase of the
 restricted chase (:mod:`repro.chase.runner`) and of incremental
 maintenance (:mod:`repro.incremental`).  There it starts from a *seed* —
-the atoms an existential pass, an insert batch or a rederive just added,
-where every fact derivable without them is already present — and its
+the atoms an existential pass or an insert batch just added, where
+every fact derivable without them is already present — and its
 first iteration pins body atoms of any relation to the seed, not only
 relations the rules define.
 
@@ -75,9 +75,8 @@ def _tick(
     return None
 
 
-def ingest(database: Database, staged: dict) -> tuple[dict, int]:
-    """Add one iteration's staged ID rows (or the incremental engine's
-    rederived ones).
+def _ingest(database: Database, staged: dict) -> tuple[dict, int]:
+    """Add one iteration's staged ID rows.
 
     Returns the new delta — relation key → first new row ordinal, for
     the relations that grew — plus the number of genuinely new facts.
@@ -193,7 +192,7 @@ def seminaive(
         if reason is not None:
             return reason, delta
         groups = None if delta is None else delta_groups(database, delta)
-        delta, added = ingest(database, _derive(prepared, database, groups))
+        delta, added = _ingest(database, _derive(prepared, database, groups))
         if obs is not None:
             obs.observe("delta_size", added)
             obs.inc("atoms_derived", added)
@@ -257,7 +256,7 @@ def _evaluate_stratum_naive(
         reason = _tick(governor, iterations, max_iterations)
         if reason is not None:
             return reason
-        grown, added = ingest(database, _derive(prepared, database, None))
+        grown, added = _ingest(database, _derive(prepared, database, None))
         if obs is not None:
             obs.observe("delta_size", added)
             obs.inc("atoms_derived", added)

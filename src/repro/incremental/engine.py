@@ -14,20 +14,20 @@ to a fixpoint through :func:`repro.datalog.engine.seminaive`.
   drifting counts silently keep unsupported facts.  An insert batch
   appends its rows and seeds ``seminaive`` with the relations' sizes
   taken before the appends.
-* **DRed delete** (overdelete → rederive → propagate): the overdelete
-  closure is computed *before* any physical removal by pinning the
-  compiled all-rows rule executors
-  (:func:`~repro.core.plan.derive_rule_rows_all`) on the deleted rows
-  against the still-intact model — forced rows match literally whether
-  or not they are present, so later closure rounds keep working after
-  rows are conceptually gone.  After the removal, every rule fires once
-  per head atom with that head pinned on its relation's deleted rows
-  (:func:`~repro.core.plan.derive_rule_rows` on ``(head,) + body``): the
-  head binds from each row, checking its constants and repeated
-  variables, and the body joins the surviving model.  The rows found
-  seed ``seminaive``, which restores the rest; cyclically-supported
-  garbage stays dead because the whole cycle is overdeleted and no
-  pinned rule finds outside support.
+* **Backward/Forward delete** (Motik, Nenov, Piro, Horrocks, AAAI
+  2015): only the facts left without a proof are deleted.  The retracted
+  rows are the first frontier.  Each frontier fact is *checked*: a
+  memoized backward proof search whose one step fires every rule with
+  the head pinned on the fact (the all-rows executors of
+  :func:`~repro.core.plan.derive_rule_rows_all` on ``(head,) + body``),
+  staging the instances that derive it into a local dict; extensional
+  rows are the proof's leaves, and a proved fact forward-chains its
+  proof to the checked facts waiting on it.  The facts still unproved
+  are deleted (store swap-remove), and their consequences, found by the
+  all-rows executors pinned on them *before* the removal, form the next
+  frontier.  Cyclically supported garbage dies because no proof from
+  the extensional rows reaches the cycle.  The surviving model is the
+  new fixpoint: nothing is rederived or re-propagated.
 * **Delta-restricted chase** (:class:`ChaseLiveModel`) for existential
   theories the advisor proved terminating: insert-only batches resume
   the restricted chase from the old fixpoint
@@ -45,13 +45,14 @@ exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from ..core.atoms import Atom, RelationKey
 from ..core.database import Database
-from ..core.plan import derive_rule_rows, derive_rule_rows_all
+from ..core.plan import derive_rule_rows_all
 from ..core.store import ColumnDelta
-from ..core.terms import Constant
+from ..core.terms import Constant, Variable
 from ..core.theory import ACDOM, Theory
 from ..chase.runner import (
     RESTRICTED,
@@ -59,7 +60,7 @@ from ..chase.runner import (
     chase as run_chase,
     extend_chase,
 )
-from ..datalog.engine import answers_in, evaluate, ingest, seminaive
+from ..datalog.engine import answers_in, evaluate, seminaive
 from ..obs.runtime import current as _obs_current, span as _obs_span
 from ..robustness.errors import exhausted_error
 
@@ -97,7 +98,10 @@ class UpdateStats:
     ``mode`` is the path actually taken (``counting``, ``chase_delta``
     or ``recompute``); ``fallback`` carries the reason whenever the
     maintenance ran as a full recompute.  ``delta_size`` is the total
-    number of rows that changed (extensional and derived)."""
+    number of rows that changed (extensional and derived).
+    ``overdeleted`` and ``rederived`` are a retraction's work: the facts
+    its Backward/Forward proof search examined and, of those, the ones
+    it kept (the names come from the DRed delete it replaced)."""
 
     mode: str = "counting"
     inserted: int = 0
@@ -161,22 +165,182 @@ def _recompute(
 ) -> UpdateStats:
     """The reported fallback: apply the batch to ``live.edb`` (retracts
     first) and re-materialize ``live.model`` from it.  The derived
-    counts are the model's change net of the extensional one."""
+    counts are the model's change net of the extensional rows that
+    entered or left it; a row that stays in the model and only gains or
+    loses extensional status is no derived change."""
     stats = UpdateStats(mode="recompute", fallback=reason)
-    old_size = len(live.model)
-    for atom in retracts:
-        if live.edb.remove(atom):
-            stats.retracted += 1
-    for atom in inserts:
-        if live.edb.add(atom):
-            stats.inserted += 1
+    old = live.model
+    retracted = [atom for atom in retracts if live.edb.remove(atom)]
+    inserted = [atom for atom in inserts if live.edb.add(atom)]
+    stats.retracted = len(retracted)
+    stats.inserted = len(inserted)
+    entered = sum(atom not in old for atom in inserted)
     live.model = materialize(live.edb)
-    derived = len(live.model) - old_size - stats.inserted + stats.retracted
+    left = sum(atom not in live.model for atom in retracted)
+    derived = len(live.model) - len(old) - entered + left
     if derived >= 0:
         stats.derived_added = derived
     else:
         stats.derived_removed = -derived
     return stats
+
+
+#: The relation of a backward step's instance atom.  It names only the
+#: keys of that step's own staging dict, never a model relation.
+_INSTANCE = "instance"
+
+
+def _row_getter(indices: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """``values -> tuple(values[i] for i in indices)``, fast."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (index,) = indices
+        return lambda values: (values[index],)
+    return lambda values: ()
+
+
+def _backward_step(head: Atom, body: tuple[Atom, ...]) -> tuple:
+    """What one rule needs to find the instances deriving a fact of
+    ``head``'s relation: the pattern ``(head,) + body``, pinned at the
+    head; the instance atom over the body's variables, which the row
+    executor stages one row per match; the body's constants; and per
+    body atom its relation key and the getter of its row from an
+    instance row extended by the constants' IDs."""
+    variables: dict = {}
+    constants: dict = {}
+    for atom in body:
+        for term in atom.all_terms:
+            if isinstance(term, Variable):
+                variables.setdefault(term, len(variables))
+            else:
+                constants.setdefault(term, len(constants))
+    instance = Atom(_INSTANCE, tuple(variables))
+    layout = tuple(
+        (
+            atom.relation_key,
+            _row_getter(
+                tuple(
+                    variables[term]
+                    if isinstance(term, Variable)
+                    else len(variables) + constants[term]
+                    for term in atom.all_terms
+                )
+            ),
+        )
+        for atom in body
+    )
+    return (head,) + body, (instance,), tuple(constants), layout
+
+
+class _ProofSearch:
+    """The proof state of one retraction (Backward/Forward, Motik, Nenov,
+    Piro and Horrocks, AAAI 2015).  Facts are ``(relation key, encoded
+    row)`` pairs; extensional rows are the leaves of every proof.
+
+    :meth:`check` is a memoized backward search with an explicit stack:
+    a fact is *explored* by one backward step, and every body fact of
+    every instance found is checked in turn, until the fact is proved or
+    all its instances fail.  An instance whose body facts are not all
+    proved yet watches them; when the last one is proved, :meth:`prove`
+    forward-chains the proof to the instance's head.  When a top-level
+    check returns, every checked fact that a proof from the extensional
+    rows reaches is proved, so a checked fact still unproved has no
+    proof: a cycle of facts supporting only each other stays unproved
+    and dies.  Such a fact, met again in a later check, fails its
+    instances at once."""
+
+    def __init__(self, instances, edb_rows) -> None:
+        #: One backward step: ``(key, row) ->`` a list of instances, each
+        #: the list of its body facts.
+        self._instances = instances
+        self._edb_rows = edb_rows
+        self.proved: set = set()
+        #: fact -> the number of the top-level check that explored it.
+        self.checked: dict = {}
+        #: fact -> the watches ``[unproved body facts, head]`` waiting
+        #: for its proof.
+        self._watchers: dict = {}
+        self._round = 0
+
+    def prove(self, fact) -> None:
+        """Mark ``fact`` proved and forward-chain to the checked facts
+        whose instances were waiting only for it."""
+        proved = self.proved
+        watchers = self._watchers
+        queue = [fact]
+        while queue:
+            fact = queue.pop()
+            if fact in proved:
+                continue
+            proved.add(fact)
+            for watch in watchers.pop(fact, ()):
+                watch[0] -= 1
+                if not watch[0]:
+                    queue.append(watch[1])
+
+    def _explore(self, fact):
+        """Explore ``fact``: its instances, each cut to the body facts
+        still to prove, or ``None`` once one instance already holds."""
+        round_ = self._round
+        checked = self.checked
+        proved = self.proved
+        edb_rows = self._edb_rows
+        checked[fact] = round_
+        open_instances = []
+        for body in self._instances(*fact):
+            pending = []
+            for part in body:
+                if part in proved:
+                    continue
+                rows = edb_rows.get(part[0])
+                if rows is not None and part[1] in rows:
+                    continue
+                when = checked.get(part)
+                if when is not None and when < round_:
+                    break  # an earlier check left it without a proof
+                pending.append(part)
+            else:
+                if not pending:
+                    self.prove(fact)
+                    return None
+                open_instances.append(pending)
+        return [fact, open_instances, 0]
+
+    def check(self, root) -> None:
+        """Search backward from ``root`` until it and every fact the
+        search reaches is proved or out of instances."""
+        if root in self.checked:
+            return
+        self._round += 1
+        checked = self.checked
+        proved = self.proved
+        watchers = self._watchers
+        frame = self._explore(root)
+        stack = [frame] if frame is not None else []
+        while stack:
+            frame = stack[-1]
+            fact, open_instances, index = frame
+            if fact in proved or index == len(open_instances):
+                stack.pop()
+                continue
+            pending = open_instances[index]
+            for part in pending:
+                if part not in checked:
+                    child = self._explore(part)
+                    if child is not None:
+                        stack.append(child)
+                    break
+            else:
+                # Every body fact of this instance has been explored.
+                frame[2] = index + 1
+                unproved = {part for part in pending if part not in proved}
+                if not unproved:
+                    self.prove(fact)
+                    continue
+                watch = [len(unproved), fact]
+                for part in unproved:
+                    watchers.setdefault(part, []).append(watch)
 
 
 def _datalog_fallback_reason(program: Theory) -> Optional[str]:
@@ -226,6 +390,14 @@ class LiveModel:
         self._rules = [
             (tuple(rule.positive_body()), tuple(rule.head)) for rule in program
         ]
+        #: head relation key -> the backward steps deriving it (see
+        #: :func:`_backward_step`).
+        self._producers: dict[RelationKey, list[tuple]] = {}
+        for body, heads in self._rules:
+            for head in heads:
+                self._producers.setdefault(head.relation_key, []).append(
+                    _backward_step(head, body)
+                )
         #: relation key -> the extensional rows, encoded in the model's
         #: ID space (counting mode only).
         self._edb_rows: dict[RelationKey, set[tuple[int, ...]]] = {}
@@ -275,7 +447,7 @@ class LiveModel:
         return stats
 
     # ------------------------------------------------------------------
-    # counting / DRed maintenance
+    # counting maintenance: semi-naive inserts, Backward/Forward retracts
     # ------------------------------------------------------------------
     def _apply_counting(self, inserts, retracts) -> UpdateStats:
         stats = UpdateStats(mode="counting")
@@ -283,7 +455,7 @@ class LiveModel:
         ids = model._symtab._ids
         edb_rows = self._edb_rows
 
-        seed: dict[RelationKey, set[tuple[int, ...]]] = {}
+        seed: dict[RelationKey, list[tuple[int, ...]]] = {}
         for atom in retracts:
             if not self.edb.remove(atom):
                 continue  # not an extensional fact; nothing to retract
@@ -291,7 +463,7 @@ class LiveModel:
             key = atom.relation_key
             row = tuple(ids[term] for term in atom.all_terms)
             edb_rows[key].discard(row)
-            seed.setdefault(key, set()).add(row)
+            seed.setdefault(key, []).append(row)
         if seed:
             self._delete(seed, stats)
 
@@ -315,76 +487,86 @@ class LiveModel:
         return stats
 
     def _delete(self, seed, stats: UpdateStats) -> None:
-        """Overdelete → physical removal → rederive → propagate."""
+        """Backward/Forward: delete the facts no proof reaches any more.
+
+        Each wave checks its frontier (the retracted rows first) with
+        :class:`_ProofSearch`.  The facts left unproved are deleted, and
+        the rules pinned on them against the model that still holds
+        them give the next frontier: their consequences that are neither
+        extensional nor proved.  Consequences are taken before the wave
+        is removed, so an instance using two facts of the same wave is
+        found."""
         model = self.model
-        with _obs_span("incremental.overdelete"):
-            deleted = {key: set(rows) for key, rows in seed.items()}
-            # Overdelete closure, computed against the *intact* model:
-            # forced rows match literally whether present or not, and
-            # other body atoms still see conceptually-deleted partners —
-            # the standard DRed over-approximation.
-            pending = seed
-            while pending:
+        edb_rows = self._edb_rows
+        search = _ProofSearch(self._instances, edb_rows)
+        proved = search.proved
+        frontier = [(key, row) for key, rows in seed.items() for row in rows]
+        # Rows removed per wave; the first wave holds retracted rows only.
+        removed: list[int] = []
+        with _obs_span("incremental.backward_forward"):
+            while frontier:
+                wave: dict[RelationKey, list[tuple[int, ...]]] = {}
+                for fact in frontier:
+                    search.check(fact)
+                    if fact not in proved:
+                        wave.setdefault(fact[0], []).append(fact[1])
                 found: dict = {}
                 for body, heads in self._rules:
                     for index, atom in enumerate(body):
-                        rows = pending.get(atom.relation_key)
+                        rows = wave.get(atom.relation_key)
                         if rows:
                             derive_rule_rows_all(
                                 body,
                                 heads,
                                 model,
-                                (index, [ColumnDelta(atom.relation_key, list(rows))]),
+                                (index, [ColumnDelta(atom.relation_key, rows)]),
                                 found,
                             )
-                pending = {}
+                removed.append(
+                    sum(model._remove_rows(key, rows) for key, rows in wave.items())
+                )
+                frontier = []
                 for key, rows in found.items():
                     present = model._existing_rows(key)
-                    already = deleted.get(key, ())
-                    # Extensional rows keep their support.
-                    extensional = self._edb_rows.get(key, ())
-                    over = {
-                        row
-                        for row in rows
-                        if row in present
-                        and row not in already
-                        and row not in extensional
-                    }
-                    if over:
-                        deleted.setdefault(key, set()).update(over)
-                        pending[key] = over
-                        stats.overdeleted += len(over)
+                    extensional = edb_rows.get(key, ())
+                    # Sorted, like the backward step's instances.
+                    for row in sorted(rows):
+                        if (
+                            row in present
+                            and row not in extensional
+                            and (key, row) not in proved
+                        ):
+                            frontier.append((key, row))
+        examined = len(search.checked)
+        stats.overdeleted += examined
+        stats.rederived += examined - sum(removed)
+        stats.derived_removed += sum(removed[1:])
 
-            # Physical removal (swap-remove) of retracted ∪ overdeleted.
-            removed = 0
-            for key, rows in deleted.items():
-                removed += model._remove_rows(key, rows)
-
-        with _obs_span("incremental.rederive"):
-            # Each rule once per head, the head pinned on its relation's
-            # deleted rows and the body joined against the survivors:
-            # the deleted rows with a one-step derivation left.
+    def _instances(self, key: RelationKey, row: tuple[int, ...]) -> list:
+        """One backward step: the rule instances that derive the fact
+        ``(key, row)`` from the current model, each as its list of body
+        facts.  Every rule fires once per head of ``key``, that head
+        pinned on the row, staging one instance row per match into a
+        local dict."""
+        producers = self._producers.get(key)
+        if not producers:
+            return []
+        model = self.model
+        ids = model._symtab._ids
+        pinned = (0, [ColumnDelta(key, [row])])
+        found = []
+        for pattern, instance, constants, layout in producers:
             staged: dict = {}
-            for body, heads in self._rules:
-                for head in heads:
-                    rows = deleted.get(head.relation_key)
-                    if rows:
-                        derive_rule_rows(
-                            (head,) + body,
-                            (head,),
-                            model,
-                            (0, [ColumnDelta(head.relation_key, list(rows))]),
-                            staged,
-                        )
-            delta, restored = ingest(model, staged)
-            if delta:
-                restored += self._propagate(delta)
-        # Every row these phases add was deleted: the surviving model is
-        # part of the old fixpoint, and so is whatever it derives.
-        stats.rederived += restored
-        # Net derived rows gone from the model: everything removed
-        # except the retracted base facts and whatever came back.
-        stats.derived_removed += max(0, removed - stats.retracted - restored)
+            derive_rule_rows_all(pattern, instance, model, pinned, staged)
+            for rows in staged.values():
+                # A match implies the body's constants are interned.
+                extra = tuple(ids[term] for term in constants) if rows else ()
+                # Sorted, so the search order (and the examined count)
+                # does not depend on how the join path enumerates.
+                for values in sorted(rows):
+                    values += extra
+                    found.append([(body_key, get(values)) for body_key, get in layout])
+        return found
 
     def _propagate(self, delta: dict) -> int:
         """Run the program to its fixpoint on the engine's semi-naive

@@ -1193,10 +1193,10 @@ class ReasoningServer:
             "Incremental maintenance batches applied (repro.incremental)."
         ),
         "service.worker.incremental_overdeleted": (
-            "Rows overdeleted by the DRed delete closure."
+            "Facts a retraction's Backward/Forward proof search examined."
         ),
         "service.worker.incremental_rederived": (
-            "Overdeleted rows restored by the rederivation pass."
+            "Examined facts the proof search kept (still proved)."
         ),
         "service.worker.incremental_fallbacks": (
             "Updates that fell back to a reported full recompute."

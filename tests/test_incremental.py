@@ -1,8 +1,8 @@
 """Unit and regression tests for ``repro.incremental`` delta maintenance.
 
-Covers the counting path (insert propagation, DRed overdelete and
-head-pinned rederive, including cyclic-support garbage), golden
-``UpdateStats`` counts, the reported fallbacks (negation, ACDom,
+Covers the counting path (insert propagation, the Backward/Forward
+delete, including cyclic-support garbage), golden ``UpdateStats``
+counts, the reported fallbacks (negation, ACDom,
 existential retraction, WFG grounding) and their derived-row counts, the
 delta-restricted chase, content-hash memo invalidation under interleaved
 insert/retract, and the registry staleness contract: after an
@@ -184,16 +184,31 @@ class TestReportedFallbacks:
         recompute = RecomputeLiveModel(
             lambda db: evaluate(program, db), database, reason="wfg_grounding"
         )
-        for batch in ({"inserts": atoms("e(b, c)")}, {"retracts": atoms("e(b, c)")}):
+        for batch, size in (
+            ({"inserts": atoms("e(b, c)")}, 3),
+            ({"retracts": atoms("e(b, c)")}, 3),
+            # t(a,b) is already derived: it only gains extensional status.
+            ({"inserts": atoms("t(a, b)")}, 1),
+            # ... and loses it again while e(a,b) still derives it.
+            ({"retracts": atoms("t(a, b)")}, 1),
+        ):
             expected = counting.apply(**batch)
             got = recompute.apply(**batch)
             assert expected.mode == "counting" and got.mode == "recompute"
-            assert (got.derived_added, got.derived_removed, got.delta_size) == (
+            assert (
+                got.inserted,
+                got.retracted,
+                got.derived_added,
+                got.derived_removed,
+                got.delta_size,
+            ) == (
+                expected.inserted,
+                expected.retracted,
                 expected.derived_added,
                 expected.derived_removed,
                 expected.delta_size,
             )
-            assert expected.delta_size == 3
+            assert expected.delta_size == size
 
     def test_acdom_falls_back_with_reason(self):
         program = parse_theory("ACDom(x), e(y,z) -> reach(x)")
@@ -271,11 +286,18 @@ class TestChaseLiveModel:
 
 
 class TestGoldenUpdateStats:
-    """DRed's bookkeeping, pinned batch by batch: ``(overdeleted,
-    rederived, derived_added, derived_removed)`` per ``apply``, and the
-    model equal to a from-scratch evaluation after each.  The counts were
-    recorded on the per-row support recount, so a change to how the
-    counting path fires rules must leave them as they are."""
+    """The counting path's bookkeeping, pinned batch by batch:
+    ``(overdeleted, rederived, derived_added, derived_removed)`` per
+    ``apply``, and the model equal to a from-scratch evaluation after
+    each.  ``derived_added``/``derived_removed`` were recorded on the
+    per-row support recount and held through the DRed delete, so a
+    change to how the counting path fires rules must leave them as they
+    are.  ``overdeleted``/``rederived`` are the Backward/Forward delete's
+    examined and kept facts; they depend on its search order, which
+    visits instances in sorted row order on either join path, and were
+    re-pinned when it replaced DRed (whose overdeleted/rederived counts
+    were larger, e.g. ``(3660, 3480)`` and ``(3479, 3419)`` for the
+    60-node SCC)."""
 
     CYCLE = TC + "\nt(x,y), e(y,x) -> c(x)"
     HEADS = (
@@ -322,7 +344,7 @@ class TestGoldenUpdateStats:
                 ([], [self.edge("v0", "v1")]),
                 ([self.edge("v0", "v1")], [self.edge("v30", "v31")]),
             ],
-            [(3660, 3480, 0, 180), (3479, 3419, 179, 60)],
+            [(1540, 1359, 0, 180), (1576, 1515, 179, 60)],
         )
 
     def test_sink_pair_two_cycle(self):
@@ -341,7 +363,7 @@ class TestGoldenUpdateStats:
                 ([], [self.edge("s3", "s2")]),
                 ([], [self.edge("s2", "s3")]),
             ],
-            [(0, 0, 1, 0), (0, 0, 5, 0), (22, 17, 0, 5), (9, 8, 0, 1)],
+            [(0, 0, 1, 0), (0, 0, 5, 0), (14, 8, 0, 5), (7, 5, 0, 1)],
         )
 
     def test_heads_with_constants_repeated_variables_and_two_atoms(self):
@@ -362,7 +384,7 @@ class TestGoldenUpdateStats:
                 ([], atoms("e(c, c)")),
                 ([], atoms("e(d, d)", 'loop(c, "other")')),
             ],
-            [(13, 7, 0, 6), (0, 0, 0, 0), (0, 0, 11, 0), (9, 5, 0, 4), (5, 0, 0, 5)],
+            [(12, 5, 0, 6), (2, 0, 0, 0), (0, 0, 11, 0), (7, 2, 0, 4), (7, 0, 0, 5)],
         )
 
 

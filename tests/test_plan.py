@@ -86,6 +86,86 @@ class TestCompiledEqualsNaive:
         assert results == [[("x", "a"), ("y", "_:n0")]]
 
 
+class TestFullyBoundProbe:
+    """A step whose every position is a constant or an earlier binding
+    is one row-map probe; compiled and interpreted results agree."""
+
+    def setup_method(self):
+        self.db = Database(
+            [
+                Atom("E", (A, B)),
+                Atom("E", (B, C)),
+                Atom("E", (C, A)),
+                Atom("E", (A, C)),
+                Atom("T", (A,)),
+                # Annotated: R[b](a), R[c](a).
+                Atom("R", (A,), (B,)),
+                Atom("R", (A,), (C,)),
+            ]
+        )
+
+    def test_bound_by_slots(self):
+        pattern = [Atom("E", (X, Y)), Atom("E", (Y, X))]
+        assert both_paths(pattern, self.db) == [
+            [("x", "a"), ("y", "c")],
+            [("x", "c"), ("y", "a")],
+        ]
+
+    def test_bound_by_constants(self):
+        assert both_paths([Atom("E", (A, B))], self.db) == [[]]
+        assert both_paths([Atom("E", (B, A))], self.db) == []
+        pattern = [Atom("E", (X, Y)), Atom("E", (C, A))]
+        assert len(both_paths(pattern, self.db)) == 4
+
+    def test_constant_absent_from_the_symbol_table(self):
+        zz = Constant("zz")
+        assert both_paths([Atom("E", (zz, A))], self.db) == []
+        assert both_paths([Atom("E", (X, Y)), Atom("E", (X, zz))], self.db) == []
+
+    def test_bound_annotation_positions(self):
+        pattern = [Atom("E", (X, Y)), Atom("R", (X,), (Y,))]
+        assert both_paths(pattern, self.db) == [
+            [("x", "a"), ("y", "b")],
+            [("x", "a"), ("y", "c")],
+        ]
+        assert both_paths([Atom("R", (A,), (A,))], self.db) == []
+
+    def test_relation_absent_from_the_database(self):
+        pattern = [Atom("E", (X, Y)), Atom("Q", (X, Y))]
+        assert both_paths(pattern, self.db) == []
+        assert both_paths([Atom("Q", (A, B))], self.db) == []
+
+    def test_followed_by_a_binding_atom(self):
+        # After E(x, y), T(x) is fully bound; E(y, z) then binds z.
+        pattern = [Atom("E", (X, Y)), Atom("T", (X,)), Atom("E", (Y, Z))]
+        assert both_paths(pattern, self.db) == [
+            [("x", "a"), ("y", "b"), ("z", "c")],
+            [("x", "a"), ("y", "c"), ("z", "a")],
+        ]
+
+    def test_rule_executors_agree_with_the_interpreter(self, monkeypatch):
+        program = parse_theory(
+            "E(x,y), E(y,x) -> Mutual(x,y)\n"
+            "E(x,y), T(x), E(y,z) -> Two(x,z)\n"
+            'E(x,y), E(y,"zz") -> Never(x)\n'
+            "E(x,y), Q(x,y) -> Never(x)\n"
+            "Two(x,z), E(x,z) -> Short(x,z)"
+        )
+        compiled = set(evaluate(program, self.db))
+        monkeypatch.setenv("REPRO_NAIVE_JOIN", "1")
+        assert set(evaluate(program, self.db)) == compiled
+        assert Atom("Short", (A, C)) in compiled
+        assert not any(atom.relation == "Never" for atom in compiled)
+
+    def test_generated_step_is_a_probe_without_a_bucket_loop(self):
+        plan = compile_plan((Atom("E", (X, Y)), Atom("E", (Y, X))))
+        assert plan.order == (0, 1)
+        source = plan.source()
+        assert "RM1 = {} if rl1 is None else rl1.rowmap()" in source
+        assert "if (s1, s0,) not in RM1: continue" in source
+        assert "for o1 " not in source and "B1_" not in source
+
+
 class TestPartialSeeds:
     def setup_method(self):
         self.db = parse_database("E(a,b). E(b,c).")
