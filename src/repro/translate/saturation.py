@@ -30,8 +30,10 @@ Implementation notes:
   a sound superset of the paper's reading that keeps the calculus complete
   without a global standardization convention.
 * The goal-directed fixpoint is delta-driven: only contexts that are new
-  or grew are reprocessed, and composition candidates come from an index
-  of Datalog rules by body relation (see :func:`_saturate_goal_directed`).
+  or grew are reprocessed, a context is offered only the Datalog rules
+  with a body atom that can map onto one of its existential head atoms,
+  and each (body, head atom) pair is projected once (see
+  :func:`_saturate_goal_directed`).
 * A configurable budget aborts pathological closures with
   :class:`SaturationBudget` (the translation is inherently worst-case
   double exponential, Section 6)."""
@@ -143,19 +145,52 @@ def _merge_variables(rule: Rule) -> Iterator[Rule]:
             continue
 
 
-def _head_atoms_as_targets(rule: Rule) -> dict[tuple, list[Atom]]:
-    """Head atoms of the first premise, bucketed by relation identity, so
-    each Datalog body atom only unifies against same-relation targets.
+class _Premise:
+    """What guarded composition reads of its first premise ``α → β``:
+    ``β`` in rule order and bucketed by relation key (each Datalog body
+    atom only unifies against same-relation ``targets``), ``vars(α)`` as a
+    set and sorted by name, the existential variables, and the head atoms
+    that hold one (``contact``) or none (``projectable``)."""
 
-    Memoized on the rule instance — a saturation pass composes the same
-    premise against every Datalog rule, so the buckets are reused."""
-    cached = rule.__dict__.get("_head_targets")
+    __slots__ = (
+        "head", "targets", "uvars", "alpha_vars", "evars", "contact", "projectable"
+    )
+
+    def __init__(
+        self,
+        head: tuple[Atom, ...],
+        alpha_vars: tuple[Variable, ...],
+        evars: frozenset[Variable],
+    ) -> None:
+        self.head = head
+        self.alpha_vars = alpha_vars
+        self.uvars = frozenset(alpha_vars)
+        self.evars = evars
+        targets: dict[tuple, list[Atom]] = {}
+        contact: list[Atom] = []
+        projectable: list[Atom] = []
+        for atom in head:
+            targets.setdefault(atom.relation_key, []).append(atom)
+            if evars.isdisjoint(atom.variables()):
+                projectable.append(atom)
+            else:
+                contact.append(atom)
+        self.targets = targets
+        self.contact = tuple(contact)
+        self.projectable = tuple(projectable)
+
+
+def _premise_of(rule: Rule) -> _Premise:
+    """The composition view of a rule, memoized on the instance — a
+    saturation pass composes the same premise against every Datalog rule."""
+    cached = rule.__dict__.get("_premise")
     if cached is None:
-        buckets: dict[tuple, list[Atom]] = {}
-        for atom in rule.head:
-            buckets.setdefault(atom.relation_key, []).append(atom)
-        object.__setattr__(rule, "_head_targets", buckets)
-        return buckets
+        cached = _Premise(
+            rule.head,
+            tuple(sorted(rule.uvars(), key=lambda v: v.name)),
+            frozenset(rule.exist_vars),
+        )
+        object.__setattr__(rule, "_premise", cached)
     return cached
 
 
@@ -190,7 +225,7 @@ def _match_into_head(
 
 
 def _compositions(
-    first: Rule,
+    first: _Premise,
     datalog: Rule,
     max_leftover: int = 3,
     require_evar_contact: bool = False,
@@ -207,18 +242,10 @@ def _compositions(
     compositions entirely on the universal side are recovered at Datalog
     evaluation time by chaining the premise with head projections, so they
     are redundant for ``dat(Σ)`` — this is the goal-directed pruning."""
-    first_uvars = first.uvars()
-    alpha_vars = sorted(first_uvars, key=lambda v: v.name)
-    targets = _head_atoms_as_targets(first)
+    first_uvars = first.uvars
+    alpha_vars = first.alpha_vars
+    targets = first.targets
     body = datalog.positive_body()
-    if require_evar_contact and not any(
-        atom.relation_key in targets for atom in body
-    ):
-        # Every surviving composition needs a non-empty homomorphism into
-        # head(first) (all-deferred splits have no existential contact), and
-        # a body atom can only map onto a same-relation head atom — no
-        # relation overlap means nothing to enumerate.
-        return
 
     def search(
         index: int,
@@ -237,7 +264,7 @@ def _compositions(
         # defer this atom to γ1
         yield from search(index + 1, assignment, deferred + [atom], used_any)
 
-    evar_set = set(first.exist_vars)
+    evar_set = first.evars
     for assignment, deferred in search(0, {}, [], False):
         if require_evar_contact and not any(
             image in evar_set for image in assignment.values()
@@ -277,7 +304,7 @@ def _compose(
 ) -> Iterator[Rule]:
     """The conclusions of :func:`_compositions` as rules."""
     for gamma1, delta in _compositions(
-        first, datalog, max_leftover, require_evar_contact
+        _premise_of(first), datalog, max_leftover, require_evar_contact
     ):
         new_body = _dedup_body(tuple(first.positive_body()) + tuple(gamma1))
         new_head = _dedup_head(tuple(first.head) + tuple(delta))
@@ -438,52 +465,102 @@ def resume_saturation(
     )
 
 
-@dataclass
 class _Context:
     """A saturation context: one existential rule instance shape.
 
     All Figure-3 derivation chains rooted at the same existential rule and
     the same (possibly extended/merged) body describe the *same* canonical
     nulls of the oblivious chase, so their head atoms hold simultaneously
-    and can be accumulated in a single monotonically growing head set."""
+    and can be accumulated in a single monotonically growing head set.
 
-    base: int
-    body: frozenset[Atom]
-    evars: tuple[Variable, ...]
-    head: set[Atom]
-    _cached_rule: Optional[Rule] = None
-    _cached_head_size: int = -1
+    The body is immutable, so its sorted atoms and variables are computed
+    once; the composition view of the head is rebuilt only when the head
+    grows (its size identifies it)."""
+
+    __slots__ = (
+        "base", "body", "evars", "head", "sorted_body", "body_vars", "_premise", "_rule"
+    )
+
+    def __init__(
+        self,
+        base: int,
+        body: frozenset[Atom],
+        evars: tuple[Variable, ...],
+        head: set[Atom],
+    ) -> None:
+        self.base = base
+        self.body = body
+        self.evars = evars
+        self.head = head
+        self.sorted_body = _dedup_body(body)
+        self.body_vars = tuple(
+            sorted({v for atom in body for v in atom.variables()}, key=lambda v: v.name)
+        )
+        self._premise: Optional[_Premise] = None
+        self._rule: Optional[Rule] = None
+
+    def premise(self) -> _Premise:
+        premise = self._premise
+        if premise is None or len(premise.head) != len(self.head):
+            premise = self._premise = _Premise(
+                _dedup_head(self.head), self.body_vars, frozenset(self.evars)
+            )
+        return premise
 
     def to_rule(self) -> Rule:
-        # The head only ever grows (monotone accumulation), so its size
-        # identifies the materialized rule; body/evars are immutable.
-        if self._cached_rule is None or self._cached_head_size != len(self.head):
-            self._cached_rule = Rule(
-                _dedup_body(self.body), _dedup_head(self.head), self.evars
-            )
-            self._cached_head_size = len(self.head)
-        return self._cached_rule
+        head = self.premise().head
+        rule = self._rule
+        if rule is None or len(rule.head) != len(head):
+            rule = self._rule = Rule(self.sorted_body, head, self.evars)
+        return rule
 
 
 class _RuleIndex:
-    """Datalog rules by body relation, as positions in the rule pool.
+    """Datalog rules as positions in the rule pool, offered to a context
+    by existential contact.
 
-    A rule can only compose into a context whose head shares one of its
-    body relations (see :func:`_compositions`), so a context's composition
-    candidates are the union of its head relations' position lists."""
+    With ``require_evar_contact`` a rule composes into a head only if one
+    of its body atoms maps onto a head atom ``H`` holding an existential
+    variable: same relation key, and every constant of the body atom
+    equal (``is``, as :func:`_match_into_head` compares) to ``H``'s term
+    there — which also puts a body variable on each existential position
+    of ``H``.  The rules that pass for ``H`` are cached per head atom until
+    the index grows: head atoms recur across contexts."""
 
     def __init__(self) -> None:
-        self.by_relation: dict[tuple, list[int]] = {}
+        self.by_relation: dict[tuple, list[tuple[int, Atom]]] = {}
+        self._offers: dict[Atom, list[int]] = {}
 
     def add(self, position: int, rule: Rule) -> None:
-        for key in {atom.relation_key for atom in rule.positive_body()}:
-            self.by_relation.setdefault(key, []).append(position)
+        for atom in rule.positive_body():
+            self.by_relation.setdefault(atom.relation_key, []).append(
+                (position, atom)
+            )
+        self._offers.clear()
 
-    def candidates(self, relation_keys: Iterable[tuple]) -> list[int]:
-        found: set[int] = set()
-        for key in relation_keys:
-            found.update(self.by_relation.get(key, ()))
-        return sorted(found)
+    def _offer(self, target: Atom) -> list[int]:
+        offered = self._offers.get(target)
+        if offered is None:
+            terms = target.all_terms
+            offered = []
+            # Positions were added in increasing order, so a rule's
+            # repeated matches are adjacent.
+            for position, atom in self.by_relation.get(target.relation_key, ()):
+                if (not offered or offered[-1] != position) and all(
+                    term is target_term or isinstance(term, Variable)
+                    for term, target_term in zip(atom.all_terms, terms)
+                ):
+                    offered.append(position)
+            self._offers[target] = offered
+        return offered
+
+    def candidates(self, premise: _Premise) -> list[int]:
+        """Positions of the rules that can touch ``premise``'s existential
+        head atoms, in increasing order."""
+        offers = [self._offer(atom) for atom in premise.contact]
+        if len(offers) == 1:
+            return offers[0]
+        return sorted(set().union(*offers))
 
 
 @dataclass
@@ -522,6 +599,11 @@ def _saturate_goal_directed(
     round into the *settled* contexts (those not on the worklist), then
     indexes them; the worklist contexts are then merged (rule 3),
     composed with their index candidates (rule 2) and projected (rule 1).
+    An index offers a context only the rules that can touch one of its
+    existential head atoms, and a (body, head atom) pair already
+    projected is not projected again: both skip only work that yields
+    nothing, so the derivation sequence is that of offering every rule
+    with a shared body relation and re-projecting every head atom.
     Any addition queues work for the next round — a new or grown context
     joins the worklist, a projected rule waits to be indexed — so the
     last round adds nothing.  The governor ticks once per settled
@@ -536,6 +618,9 @@ def _saturate_goal_directed(
     derived = 0
     iterations = 0
     index = _RuleIndex()
+    # Run-local caches and counters: a resumed run starts them afresh.
+    projected: set[tuple[frozenset[Atom], Atom]] = set()
+    compositions = 0
 
     if snapshot is not None:
         datalog.rules = list(snapshot.datalog_rules)
@@ -584,9 +669,12 @@ def _saturate_goal_directed(
         """Rule 2: compose the index's candidate rules into ``context``."""
         # The conclusion of (γ1, δ) is body ∧ γ1 → head ∧ δ; its rule
         # checks cannot fail (γ1 lives on the body's variables, δ on the
-        # head's), so no Rule is built.
-        premise = context.to_rule()
-        for position in rule_index.candidates(_head_atoms_as_targets(premise)):
+        # head's), so no Rule is built.  The premise is the head as it
+        # was on entry, even if a composition grows this very context.
+        nonlocal compositions
+        premise = context.premise()
+        for position in rule_index.candidates(premise):
+            compositions += 1
             for gamma1, delta in _compositions(
                 premise, datalog.rules[position], require_evar_contact=True
             ):
@@ -600,11 +688,7 @@ def _saturate_goal_directed(
     def process(context: _Context) -> None:
         nonlocal derived
         # Rule 3: merges of body variables, creating sibling contexts.
-        body_vars = sorted(
-            {v for atom in context.body for v in atom.variables()},
-            key=lambda v: v.name,
-        )
-        for source, target in itertools.permutations(body_vars, 2):
+        for source, target in itertools.permutations(context.body_vars, 2):
             mapping = {source: target}
             add_context(
                 context.base,
@@ -615,18 +699,21 @@ def _saturate_goal_directed(
         # Rule 2: compose every indexed Datalog rule that can reach the head.
         compose_into(context, index)
         # Rule 1: project existential-free head atoms into the Datalog pool.
-        premise = context.to_rule()
-        evar_set = set(context.evars)
-        for atom in premise.head:
-            if atom.variables() & evar_set:
+        # The projection depends on the body and the atom only, so a pair
+        # already projected (by this context or one with the same body) is
+        # skipped; it is marked only once its key is in the pool, so a
+        # context requeued by a budget cut re-projects what it missed.
+        for atom in context.premise().projectable:
+            marker = (context.body, atom)
+            if marker in projected:
                 continue
-            projected = Rule(premise.body, (atom,))
+            rule = Rule(context.sorted_body, (atom,))
             if len(contexts) + len(datalog.rules) + 1 > max_rules:
-                if canonical_rule_key(_normalize_rule(projected)) in datalog.keys:
-                    continue
-                raise _Exhausted("max_rules")
-            if datalog.add(projected):
+                if canonical_rule_key(_normalize_rule(rule)) not in datalog.keys:
+                    raise _Exhausted("max_rules")
+            elif datalog.add(rule):
                 derived += 1
+            projected.add(marker)
 
     obs = _obs_current()
     exhausted: Optional[str] = None
@@ -684,6 +771,8 @@ def _saturate_goal_directed(
             round_start = derived
     except _Exhausted as exc:
         exhausted = exc.reason
+    if obs is not None:
+        obs.inc("saturation.compositions", compositions)
 
     closure_theory = Theory(
         tuple(context.to_rule() for context in contexts.values())
