@@ -749,8 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--snapshot-dir", default=None,
         help="directory for materialization snapshots: complete "
-        "materializations are persisted there and restarts warm from "
-        "disk instead of re-chasing (default: no persistence)",
+        "materializations are persisted there, and after a restart a "
+        "database's snapshot is read the first time its key is asked "
+        "for instead of re-chasing (default: no persistence)",
     )
     p.set_defaults(handler=_cmd_serve)
 

@@ -370,7 +370,7 @@ class Database:
 
         The hash is *structural* — order-independent and stable across
         processes and input formatting — so it can key both the
-        registry's materialization LRU and the on-disk snapshot cache:
+        registry's table of held models and the on-disk snapshot cache:
         the digest of every atom's fingerprint line, sorted, each ended
         by a newline.  Mutation invalidates the memo; lookups between
         mutations are O(1).  The sorted lines are kept, and :meth:`add`

@@ -100,6 +100,17 @@ class _LiveDatabase:
 
 __all__ = ["ServiceConfig", "ReasoningServer", "serve"]
 
+
+def _no_theory(request_id: Any) -> dict:
+    """The response to a request that names no theory the server has."""
+    return protocol.error_response(
+        protocol.ERR_UNKNOWN_THEORY,
+        "no theory: name a registered content hash in 'theory', inline "
+        "rules in 'theory_text', or start the server with a default theory",
+        request_id=request_id,
+    )
+
+
 #: Per-job stat keys folded into the server's ``service.worker.*``
 #: counters when a result arrives.
 _WORKER_STAT_KEYS = (
@@ -161,8 +172,9 @@ class ServiceConfig:
     max_rules: int = 100_000
     saturation_max_rules: int = 200_000
     #: Persistent materialization snapshots: workers save every complete
-    #: materialization here and warm from it at registration, so a
-    #: restarted service answers its first query without re-chasing.
+    #: materialization here and read a database's file the first time
+    #: its key is asked for, so a restarted service answers without
+    #: re-chasing.
     snapshot_dir: Optional[str] = None
     drain_grace: float = 10.0
     #: Baseline backoff hint carried by every shed response; when the
@@ -888,33 +900,18 @@ class ReasoningServer:
         theory_text = self._resolve_theory(request)
         if theory_text is None:
             return self._finish_trace(
-                trace,
-                protocol.error_response(
-                    protocol.ERR_UNKNOWN_THEORY,
-                    "no theory: name a registered content hash in 'theory', "
-                    "inline rules in 'theory_text', or start the server with "
-                    "a default theory",
-                    request_id=request_id,
-                ),
-                explain=explain,
+                trace, _no_theory(request_id), explain=explain
             )
-        timeout = request.get("timeout", self.config.default_timeout)
-        payload = {
-            "kind": "query",
-            "output": request["output"],
-            **self._database_of(content_hash(theory_text), request),
-            "strategy": request.get("strategy", self.config.strategy),
-            "timeout": timeout,
-            "max_steps": request.get("max_steps", self.config.default_max_steps),
-            "max_depth": request.get("max_depth"),
-        }
+        payload = self._job(
+            "query", request, content_hash(theory_text), output=request["output"]
+        )
         if "inject" in request:
             payload["inject"] = request["inject"]
         if trace is not None:
             trace.set(output=request["output"])
         self.metrics.inc("service.queries")
         job = self._admit(payload, theory_text, trace=trace)
-        result = await self._await_job(job, timeout=timeout)
+        result = await self._await_job(job, timeout=payload["timeout"])
         return self._finish_trace(trace, result, explain=explain)
 
     # -- incremental updates & subscriptions ---------------------------
@@ -923,14 +920,26 @@ class ReasoningServer:
         server default."""
         return self._live_dbs.get(digest, self._default_db)
 
-    def _database_of(self, digest: str, request: dict) -> dict:
-        """How a job names its database: the request's own ``database``
-        text when it carries one, else the theory's live database by
-        key (a worker that holds nothing under the key gets the text in
-        one resend)."""
+    def _job(self, kind: str, request: dict, digest: str, **fields) -> dict:
+        """The worker payload of a ``kind`` job: ``fields``, the
+        request's strategy, timeout and budgets (the server's defaults
+        where it names none), and its database.  That is the request's
+        own ``database`` text when it carries one, else the theory's
+        live database by key (a worker that holds nothing under the key
+        gets the text in one resend)."""
+        payload = {
+            "kind": kind,
+            "strategy": request.get("strategy", self.config.strategy),
+            "timeout": request.get("timeout", self.config.default_timeout),
+            "max_steps": request.get("max_steps", self.config.default_max_steps),
+            "max_depth": request.get("max_depth"),
+            **fields,
+        }
         if "database" in request:
-            return {"database": request["database"]}
-        return {"db_key": self._live_for(digest).db_key}
+            payload["database"] = request["database"]
+        else:
+            payload["db_key"] = self._live_for(digest).db_key
+        return payload
 
     def _advance_live(self, digest: str, request: dict, db_key: str) -> None:
         """Apply an acknowledged update to the server's copy of the
@@ -951,16 +960,7 @@ class ReasoningServer:
             return self._finish_trace(trace, shed)
         theory_text = self._resolve_theory(request)
         if theory_text is None:
-            return self._finish_trace(
-                trace,
-                protocol.error_response(
-                    protocol.ERR_UNKNOWN_THEORY,
-                    "no theory: name a registered content hash in 'theory', "
-                    "inline rules in 'theory_text', or start the server with "
-                    "a default theory",
-                    request_id=request_id,
-                ),
-            )
+            return self._finish_trace(trace, _no_theory(request_id))
         digest = content_hash(theory_text)
         async with self._update_locks.setdefault(digest, asyncio.Lock()):
             result = await self._apply_update(request, theory_text, digest, trace)
@@ -976,20 +976,16 @@ class ReasoningServer:
         """One update under its theory's update lock: no other update of
         the theory moves the live database between the key this job
         names and the batch reaching the server's copy."""
-        timeout = request.get("timeout", self.config.default_timeout)
-        payload = {
-            "kind": "update",
-            **self._database_of(digest, request),
-            "insert": request.get("insert", []),
-            "retract": request.get("retract", []),
-            "strategy": request.get("strategy", self.config.strategy),
-            "timeout": timeout,
-            "max_steps": request.get("max_steps", self.config.default_max_steps),
-            "max_depth": request.get("max_depth"),
-        }
+        payload = self._job(
+            "update",
+            request,
+            digest,
+            insert=request.get("insert", []),
+            retract=request.get("retract", []),
+        )
         self.metrics.inc("service.updates")
         job = self._admit(payload, theory_text, trace=trace)
-        result = await self._await_job(job, timeout=timeout)
+        result = await self._await_job(job, timeout=payload["timeout"])
         if result.get("ok") and "db_key" in result:
             self._advance_live(digest, request, result["db_key"])
             await self._refresh_subscriptions(digest, result["db_key"])
@@ -1014,29 +1010,21 @@ class ReasoningServer:
             )
         theory_text = self._resolve_theory(request)
         if theory_text is None:
-            return self._finish_trace(
-                trace,
-                protocol.error_response(
-                    protocol.ERR_UNKNOWN_THEORY,
-                    "no theory to subscribe against: name a registered hash, "
-                    "inline rules, or start the server with a default theory",
-                    request_id=request_id,
-                ),
-            )
+            return self._finish_trace(trace, _no_theory(request_id))
         digest = content_hash(theory_text)
-        timeout = request.get("timeout", self.config.default_timeout)
-        payload = {
-            "kind": "query",
-            "output": request["output"],
-            **self._database_of(digest, request),
-            "strategy": request.get("strategy", self.config.strategy),
-            "timeout": timeout,
-            "max_steps": self.config.default_max_steps,
-            "max_depth": None,
-        }
+        # A subscription's queries run under the server's default
+        # budgets, whatever the subscribe request names.
+        payload = self._job(
+            "query",
+            request,
+            digest,
+            output=request["output"],
+            max_steps=self.config.default_max_steps,
+            max_depth=None,
+        )
         self.metrics.inc("service.subscriptions")
         job = self._admit(payload, theory_text, trace=trace)
-        result = await self._await_job(job, timeout=timeout)
+        result = await self._await_job(job, timeout=payload["timeout"])
         if not result.get("ok"):
             return self._finish_trace(trace, result)
         sub_id = next(self._sub_ids)
@@ -1076,15 +1064,9 @@ class ReasoningServer:
         if not subs:
             return
         for sub in subs:
-            payload = {
-                "kind": "query",
-                "output": sub.output,
-                "db_key": db_key,
-                "strategy": self.config.strategy,
-                "timeout": self.config.default_timeout,
-                "max_steps": self.config.default_max_steps,
-                "max_depth": None,
-            }
+            # The server's defaults throughout, on the live database
+            # (already at ``db_key``).
+            payload = self._job("query", {}, digest, output=sub.output)
             job = self._admit(payload, sub.theory_text, force=True)
             self._pending.remove(job)
             self._in_flight[job.job_id] = job
@@ -1218,7 +1200,7 @@ class ReasoningServer:
             "Full materialization computations (chase or fixpoint runs)."
         ),
         "service.worker.snapshot_loads": (
-            "Materializations warmed from on-disk snapshots."
+            "Models read from snapshot files."
         ),
         "service.worker.snapshot_saves": (
             "Complete materializations persisted as snapshots."
@@ -1227,10 +1209,10 @@ class ReasoningServer:
             "Snapshot files rejected (corrupt/truncated/mismatched)."
         ),
         "service.worker.store_bytes": (
-            "Resident bytes of cached columnar materializations (gauge)."
+            "Resident bytes of the columnar models workers hold (gauge)."
         ),
         "service.worker.store_symbols": (
-            "Interned symbols across cached materializations (gauge)."
+            "Interned symbols across the models workers hold (gauge)."
         ),
         "service.request_ms.query": "End-to-end query latency histogram.",
         "service.request_ms.register": "End-to-end register latency histogram.",
