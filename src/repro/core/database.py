@@ -12,10 +12,12 @@ engine, saturation and the WFG pipeline.  It is columnar and interned
   one int column vector per position, a lazily built ``row -> ordinal``
   map (membership and fully bound probes) and lazily built hash buckets
   (the compiled join plans and partially bound probes);
-* rows are deduplicated and appended at the end, so between deletions
-  the facts added since a mark are an ordinal range — the Datalog
-  engine's semi-naive deltas; deletion swap-removes in time proportional
-  to the deleted rows;
+* rows are deduplicated and appended at the end — one fact at a time
+  by :meth:`Database.add`, one fixpoint iteration's block per relation
+  by ``_add_rows`` — so between deletions the facts added since a mark
+  are an ordinal range: the Datalog engine's semi-naive deltas, which
+  it hands on as the appended blocks themselves; deletion swap-removes
+  in time proportional to the deleted rows;
 * decoded :class:`~repro.core.atoms.Atom` objects are cached per row
   ordinal, so iteration and probes hand back the same objects.
 
@@ -136,24 +138,33 @@ class Database:
             return frozenset()
         return relation.rowmap()
 
-    def _add_row(self, key: RelationKey, row: tuple[int, ...]) -> bool:
-        """Append one already-encoded row — the ID-space twin of
-        :meth:`add`, used by the Datalog engine's row-staged firing.
-        Marks the row's symbols as occurring, exactly as ``add`` would."""
+    def _add_rows(
+        self, key: RelationKey, rows: Iterable[tuple[int, ...]]
+    ) -> list[tuple[int, ...]]:
+        """Append already-encoded rows as one block — the ID-space twin
+        of :meth:`add` for one fixpoint iteration's derivations of
+        ``key`` (see :meth:`ColumnRelation.add_rows`).  Returns the rows
+        actually appended.  Marks every ID in them as occurring, exactly
+        as ``add`` would: the rule executors intern head constants
+        without marking them."""
         relation = self._relations.get(key)
         if relation is None:
             relation = ColumnRelation(key)
             self._relations[key] = relation
-        if not relation.add_row(row):
-            return False
-        occurs = self._symtab._occurs
-        for i in row:
-            occurs[i] = 1
-        self._n_atoms += 1
-        self._cells += relation.width
-        self._content_hash = None
-        self._hash_lines = None
-        return True
+        start = relation.n_rows
+        block = relation.add_rows(rows)
+        if block:
+            ids: set[int] = set()
+            for col in relation._cols:
+                ids.update(col[start:])
+            occurs = self._symtab._occurs
+            for i in ids:
+                occurs[i] = 1
+            self._n_atoms += len(block)
+            self._cells += len(block) * relation.width
+            self._content_hash = None
+            self._hash_lines = None
+        return block
 
     def remove(self, atom: Atom) -> bool:
         """Delete an atom; returns True if it was present.

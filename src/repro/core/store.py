@@ -18,11 +18,15 @@ layout this module provides:
 * **hash buckets** per position (``dict[id] -> row ordinals``, built
   lazily, maintained afterwards) feeding the compiled join plans' O(1)
   probes and the partially bound ``Database.atoms_matching`` path;
-* semi-naive **delta iteration as index range scans**: rows are
-  deduplicated and appended at the end, so the atoms added in one
-  fixpoint iteration are exactly the row ordinals ``[mark, n_rows)``;
-  the Datalog engine ships those ranges as :class:`ColumnDelta` row
-  blocks instead of re-boxed atom sets;
+* semi-naive **deltas as appended blocks**: rows are deduplicated and
+  appended at the end, so the atoms added in one fixpoint iteration are
+  exactly the row ordinals ``[mark, n_rows)``.  :meth:`ColumnRelation.add_rows`
+  appends one iteration's rows of a relation as one block and returns
+  it, and the Datalog engine hands those blocks to the next iteration
+  as :class:`ColumnDelta` row blocks instead of re-boxed atom sets; a
+  range is read back out of the columns (``rows_between``) only for a
+  seed or a resumed delta.  Single facts append through
+  :meth:`ColumnRelation.add_row`;
 * **swap-remove deletion** in time proportional to the deleted rows:
   each dead row's ordinal is refilled with the relation's last row, and
   the row map, every built bucket and the decoded-atom cache are patched
@@ -71,6 +75,7 @@ import mmap
 import os
 import struct
 import sys
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .atoms import Atom, RelationKey
@@ -175,8 +180,9 @@ class SymbolTable:
 class ColumnDelta:
     """A block of encoded delta rows for one relation — the columnar
     currency of semi-naive delta pinning.  ``rows`` are the id-tuples
-    appended in one fixpoint iteration (an ordinal range scan of the
-    relation), handed to ``forced=`` in place of an atom list."""
+    appended in one fixpoint iteration (the block
+    :meth:`ColumnRelation.add_rows` returned, or an ordinal range scan
+    of the relation), handed to ``forced=`` in place of an atom list."""
 
     __slots__ = ("key", "rows")
 
@@ -243,7 +249,8 @@ class ColumnRelation:
 
     def rowmap(self) -> dict[tuple[int, ...], int]:
         """The ``row -> ordinal`` map (built on first use, maintained by
-        :meth:`add_row` and :meth:`remove_rows` afterwards)."""
+        :meth:`add_row`, :meth:`add_rows` and :meth:`remove_rows`
+        afterwards)."""
         rowmap = self._rowmap
         if rowmap is None:
             rowmap = self._rowmap = dict(zip(self.iter_rows(), range(self.n_rows)))
@@ -274,6 +281,43 @@ class ColumnRelation:
         self.n_rows = ordinal + 1
         self._atoms_cache = None
         return True
+
+    def add_rows(self, rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Append the rows not yet present as one block, in the order
+        ``rows`` gives them; returns that block, which is then
+        ``rows_between(mark, n_rows)`` for the ``n_rows`` before the call.
+
+        One fixpoint iteration's derivations of a relation land in one
+        pass per structure: each row is filed in the row map by one
+        probe, each column grows by one ``extend`` and each built bucket
+        in one loop over the block.  A row repeated within ``rows``
+        lands once, at its first occurrence."""
+        rowmap = self._rowmap
+        if rowmap is None:
+            rowmap = self.rowmap()
+        # The map holds one entry per row, so its size is the next
+        # ordinal: ``setdefault`` files an absent row there and hands a
+        # present (or repeated) row's own ordinal back.
+        setdefault = rowmap.setdefault
+        block = [row for row in rows if setdefault(row, (n := len(rowmap))) == n]
+        if not block:
+            return block
+        if self._frozen:
+            self._thaw()
+        start = self.n_rows
+        for position, col in enumerate(self._cols):
+            col.extend(map(itemgetter(position), block))
+            bucket = self._buckets[position]
+            if bucket is not None:
+                for ordinal, value in enumerate(col[start:], start):
+                    existing = bucket.get(value)
+                    if existing is None:
+                        bucket[value] = [ordinal]
+                    else:
+                        existing.append(ordinal)
+        self.n_rows = start + len(block)
+        self._atoms_cache = None
+        return block
 
     def remove_rows(self, dead_rows: Iterable[tuple[int, ...]]) -> int:
         """Delete the given rows by swap-remove; returns how many were
@@ -347,7 +391,7 @@ class ColumnRelation:
 
     def rows_between(self, start: int, stop: int) -> list[tuple[int, ...]]:
         """The rows appended in the ordinal range ``[start, stop)`` — the
-        delta range scan behind semi-naive iteration."""
+        range scan behind a seeded or resumed semi-naive delta."""
         if self.width == 0:
             return [()] * (stop - start)
         cols = self._cols
@@ -359,8 +403,8 @@ class ColumnRelation:
     # -- hash index tier (compiled-plan probes) ------------------------
     def bucket(self, position: int) -> dict:
         """The hash bucket index for ``position`` (built on first use,
-        maintained by :meth:`add_row` and :meth:`remove_rows`
-        afterwards)."""
+        maintained by :meth:`add_row`, :meth:`add_rows` and
+        :meth:`remove_rows` afterwards)."""
         bucket = self._buckets[position]
         if bucket is None:
             bucket = {}

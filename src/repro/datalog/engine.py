@@ -75,36 +75,37 @@ def _tick(
     return None
 
 
-def _ingest(database: Database, staged: dict) -> tuple[dict, int]:
-    """Add one iteration's staged ID rows.
+def _ingest(database: Database, staged: dict) -> tuple[dict, dict, int]:
+    """Add one iteration's staged ID rows, one block per relation.
 
-    Returns the new delta — relation key → first new row ordinal, for
-    the relations that grew — plus the number of genuinely new facts.
-    Rows are deduplicated and appended at the end, and nothing deletes
-    during a fixpoint, so the facts added this iteration are exactly the
-    ordinals ``[mark, n_rows)`` of each touched relation: the delta
-    seeds :func:`seminaive`."""
-    marks = {key: database.relation_size(key) for key in staged}
+    Returns the new delta twice — as marks, relation key → first new
+    row ordinal for the relations that grew, and as the appended blocks
+    grouped by relation name the way :func:`delta_groups` reads them —
+    plus the number of genuinely new facts.  Rows are deduplicated and
+    appended at the end, and nothing deletes during a fixpoint, so each
+    block is exactly the ordinals ``[mark, n_rows)`` of its relation:
+    :func:`seminaive` pins the next iteration to the blocks and hands
+    the marks back when it stops early."""
+    marks: dict = {}
+    groups: dict[str, list] = defaultdict(list)
     added = 0
-    add_row = database._add_row
     for key, rows in staged.items():
-        for row in rows:
-            if add_row(key, row):
-                added += 1
-    grown = {
-        key: mark
-        for key, mark in marks.items()
-        if database.relation_size(key) > mark
-    }
-    return grown, added
+        mark = database.relation_size(key)
+        block = database._add_rows(key, rows)
+        if block:
+            marks[key] = mark
+            groups[key[0]].append(ColumnDelta(key, block))
+            added += len(block)
+    return marks, groups, added
 
 
 def delta_groups(database: Database, delta: dict) -> dict[str, list]:
-    """The delta grouped by relation *name* for delta pinning: per
-    relation, a :class:`~repro.core.store.ColumnDelta` of the rows from
-    its first new ordinal on, obtained by an ordinal **range scan** — no
-    re-boxing, and the join executor consumes the encoded rows
-    directly."""
+    """A delta given as marks, grouped by relation *name* for delta
+    pinning: per relation, a :class:`~repro.core.store.ColumnDelta` of
+    the rows from its first new ordinal on, obtained by an ordinal
+    **range scan**.  Only a seed or a resumed delta is read this way;
+    :func:`seminaive` pins every later iteration to the blocks
+    :func:`_ingest` appended."""
     groups: dict[str, list] = defaultdict(list)
     for key, mark in delta.items():
         relation = database._relations.get(key)
@@ -179,20 +180,24 @@ def seminaive(
     facts the previous iteration added (``0`` before the first); a
     returned reason stops the loop there.  An iteration is atomic.
     Returns ``(None, None)`` at the fixpoint, or ``(reason, delta)``
-    where ``delta`` is the pending iteration's delta — pass it back to
-    continue exactly where the loop stopped."""
+    where ``delta`` is the pending iteration's delta as marks — pass it
+    back to continue exactly where the loop stopped.
+
+    Only the seed (or a resumed delta) is read back out of the columns
+    (:func:`delta_groups`); every later iteration is pinned to the
+    blocks the previous one appended."""
     # Later deltas hold only head relations; a seed may hold any.
     pinnable = {atom.relation for rule in rules for atom in rule.head}
     if delta:
         pinnable.update(key[0] for key in delta)
     prepared = _prepare(rules, pinnable)
+    groups = None if delta is None else delta_groups(database, delta)
     added = 0
     while True:
         reason = tick(added)
         if reason is not None:
             return reason, delta
-        groups = None if delta is None else delta_groups(database, delta)
-        delta, added = _ingest(database, _derive(prepared, database, groups))
+        delta, groups, added = _ingest(database, _derive(prepared, database, groups))
         if obs is not None:
             obs.observe("delta_size", added)
             obs.inc("atoms_derived", added)
@@ -256,7 +261,7 @@ def _evaluate_stratum_naive(
         reason = _tick(governor, iterations, max_iterations)
         if reason is not None:
             return reason
-        grown, added = _ingest(database, _derive(prepared, database, None))
+        grown, _, added = _ingest(database, _derive(prepared, database, None))
         if obs is not None:
             obs.observe("delta_size", added)
             obs.inc("atoms_derived", added)

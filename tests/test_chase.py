@@ -145,6 +145,16 @@ class TestDatalogFirstRestricted:
         result = chase(theory, parse_database("P(a)."), policy=RESTRICTED)
         assert result.nulls_created == 0 and result.rounds == 1
 
+    def test_head_constant_of_a_datalog_phase_occurs(self):
+        # Only the Datalog phase derives a fact with ``c``, and the rule
+        # executors intern head constants without marking them: the
+        # row-block append must mark it, or ``has_term`` would miss it.
+        theory = parse_theory('R(x) -> S(x, "c")\nR(x) -> exists z. U(x, z)')
+        result = chase(theory, parse_database("R(a)."), policy=RESTRICTED)
+        assert Atom("S", (Constant("a"), Constant("c"))) in result.database
+        assert result.database.has_term(Constant("c"))
+        assert Constant("c") in result.database.constants()
+
 
 class TestUniversality:
     def test_chase_maps_into_any_solution(self):

@@ -47,6 +47,14 @@ class TestEvaluation:
         fixpoint = evaluate(program, parse_database("R(z)."))
         assert Atom("Q", (A,)) in fixpoint
 
+    def test_head_constant_occurs_in_the_fixpoint(self):
+        # The rule executors intern head constants without marking them;
+        # the row-block append is what makes ``c`` read as occurring.
+        fixpoint = evaluate(parse_theory('R(x) -> S(x, "c")'), parse_database("R(a)."))
+        assert Atom("S", (A, C)) in fixpoint
+        assert fixpoint.has_term(C)
+        assert C in fixpoint.constants()
+
     def test_rejects_existential_rules(self):
         with pytest.raises(DatalogError):
             evaluate(parse_theory("P(x) -> exists y. R(x,y)"), parse_database("P(a)."))

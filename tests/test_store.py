@@ -105,6 +105,43 @@ class TestColumnRelation:
         relation.add_row((4, 5))
         assert relation.rows_between(mark, relation.n_rows) == [(2, 3), (4, 5)]
 
+    def test_add_rows_appends_the_absent_rows_as_one_block(self):
+        relation = ColumnRelation(self.KEY)
+        relation.add_row((0, 1))
+        mark = relation.n_rows
+        block = relation.add_rows([(4, 5), (0, 1), (2, 3), (4, 5)])
+        # Present and repeated rows are skipped; the rest keep their order.
+        assert block == [(4, 5), (2, 3)]
+        assert relation.rows_between(mark, relation.n_rows) == block
+        assert relation.rowmap() == {(0, 1): 0, (4, 5): 1, (2, 3): 2}
+        assert relation.add_rows([(2, 3), (0, 1)]) == []
+        assert relation.n_rows == 3
+
+    def test_add_rows_extends_built_buckets_only(self):
+        relation = ColumnRelation(self.KEY)
+        relation.add_rows([(0, 1), (1, 1)])
+        relation.rowmap()
+        bucket = relation.bucket(0)
+        relation.add_rows([(0, 2), (1, 1), (2, 1)])
+        assert relation._buckets[0] is bucket
+        assert bucket == {0: [0, 2], 1: [1], 2: [3]}
+        assert relation._buckets[1] is None
+        assert relation.rowmap() == {(0, 1): 0, (1, 1): 1, (0, 2): 2, (2, 1): 3}
+        assert relation.bucket(1) == {1: [0, 1, 3], 2: [2]}
+
+    def test_add_rows_thaws_a_snapshot_relation(self, tmp_path):
+        path = str(tmp_path / "model.snap")
+        save_snapshot(parse_database("R(a,b). R(b,c)."), path)
+        db = load_snapshot(path)
+        relation = db._relations[self.KEY]
+        assert relation._frozen
+        a, c = db._symtab._ids[A], db._symtab._ids[C]
+        assert relation.add_rows([(a, c), (a, c)]) == [(a, c)]
+        assert not relation._frozen
+        assert all(type(col) is list for col in relation._cols)
+        assert list(relation.iter_rows())[-1] == (a, c)
+        assert relation.n_rows == 3
+
 
 class TestContentHash:
     def test_memoized_until_mutation(self):
@@ -147,6 +184,10 @@ class TestContentHash:
             assert db.content_hash() == Database(list(db)).content_hash()
         db._remove_rows(("S", 1, 0), [(db._symtab._ids[C],)])
         assert db._hash_lines is None
+        assert db.content_hash() == Database(list(db)).content_hash()
+        db._add_rows(("S", 1, 0), [(db._symtab.intern(D),)])
+        assert db._hash_lines is None
+        assert db.has_term(D)
         assert db.content_hash() == Database(list(db)).content_hash()
 
     def test_memo_regression_same_object_when_unchanged(self):

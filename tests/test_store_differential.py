@@ -3,9 +3,10 @@
 * Facade operations (``add``/``remove`` return values, ``in``,
   iteration, ``len``, ``==``, ``relations``/``constants``/``nulls``/
   ``terms``, ``atoms_matching``, ``content_hash``) must agree with a
-  plain ``set[Atom]`` model, also across interleaved additions and
-  swap-remove deletions, and the store's own indexes (row map, built
-  hash buckets, decoded-atom cache) must match the rows they index.
+  plain ``set[Atom]`` model, also across interleaved additions,
+  row-block appends and swap-remove deletions, and the store's own
+  indexes (row map, built hash buckets, decoded-atom cache) must match
+  the rows they index.
 * The row-executor Datalog fixpoint must equal the same program run on
   the naive homomorphism interpreter (``REPRO_NAIVE_JOIN=1``), which
   matches boxed atoms and checks negated literals by boxed membership.
@@ -97,11 +98,34 @@ def assert_agrees_with_model(database: Database, model: set[Atom], probes) -> No
 
 
 #: One step of an interleaved sequence: add, remove, or remove and
-#: re-add the same atom (its row comes back at another ordinal).
+#: re-add the same atom (its row comes back at another ordinal), or
+#: append a list of atoms as one encoded block per relation.
 steps = st.lists(
-    st.tuples(st.sampled_from(["add", "remove", "readd"]), ground_atoms()),
+    st.one_of(
+        st.tuples(st.sampled_from(["add", "remove", "readd"]), ground_atoms()),
+        st.tuples(st.just("block"), st.lists(ground_atoms(), max_size=8)),
+    ),
     max_size=30,
 )
+
+
+def append_blocks(database: Database, model: set[Atom], atoms: list[Atom]) -> None:
+    """Append ``atoms`` through ``Database._add_rows``, one block per
+    relation, encoded as the rule executors stage rows: interned
+    without marking occurrence.  Each block must be the atoms not yet
+    in ``model``, once each, in list order."""
+    intern = database._symtab.intern
+    per_key: dict = {}
+    for atom in atoms:
+        per_key.setdefault(atom.relation_key, []).append(atom)
+    for key, group in per_key.items():
+        fresh = [atom for atom in dict.fromkeys(group) if atom not in model]
+        rows = [tuple(intern(term) for term in atom.all_terms) for atom in group]
+        appended = database._add_rows(key, rows)
+        assert appended == [
+            tuple(intern(term) for term in atom.all_terms) for atom in fresh
+        ]
+        model.update(group)
 
 
 class TestFacadeAgreement:
@@ -165,7 +189,13 @@ class TestFacadeAgreement:
             database.content_hash()
             for atom in initial:
                 database.atoms_matching(atom.relation_key, dict(enumerate(atom.args)))
-        for kind, atom in sequence:
+        for kind, item in sequence:
+            if kind == "block":
+                append_blocks(database, model, item)
+                assert all(database.has_term(t) for t in model_terms(set(item)))
+                assert_agrees_with_model(database, model, probes + item)
+                continue
+            atom = item
             if kind == "add":
                 assert database.add(atom) == (atom not in model)
                 model.add(atom)
