@@ -1,19 +1,20 @@
 """Strategy advisor — predictive engine selection.
 
-The advisor climbs the acyclicity ladder (weak ⊂ joint ⊂ super-weak ⊂
-MFA, see ``chase/termination.py``), prices the chase on weakly acyclic
-theories via the position-graph cost estimator, and emits a
-:class:`StrategyAdvice` whose ``recommended`` strategy is what
-:func:`repro.translate.pipeline.plan_answering` runs for ``auto`` —
-before any translation is attempted.  This module holds the only copy
-of that strategy ladder; the CLI, the library and the service all
-answer through the planner.  The verdict is sound in the
+The advisor reads the acyclicity ladder (weak ⊂ joint ⊂ super-weak ⊂
+MFA, climbed once by ``chase.termination.termination_ladder``), prices
+the chase on weakly acyclic theories via the position-graph cost
+estimator, and emits a :class:`StrategyAdvice` whose ``recommended``
+strategy is what :func:`repro.translate.pipeline.plan_answering` runs
+for ``auto`` — before any translation is attempted.  This module holds
+the only copy of that strategy ladder; the CLI, the library and the
+service all answer through the planner.  The verdict is sound in the
 never-overclaims direction: a ``terminates=True`` advice certifies
 restricted/skolem chase termination on **every** database, so routing
 such theories straight to the chase can never trade completeness away.
 
-Every run is traced as an ``analysis.advisor`` span (with ``ladder``,
-``estimate``, and ``mfa`` sub-spans) and counted under
+Every run is traced as an ``analysis.advisor`` span (with ``classify``,
+``ladder`` and ``estimate`` sub-spans; the ladder's MFA rung adds its
+own ``chase.termination.mfa``) and counted under
 ``advisor.runs`` / ``advisor.criterion.<criterion>`` /
 ``advisor.recommendation.<strategy>``, which the service surfaces on
 ``/metrics``.
@@ -25,19 +26,11 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..chase.termination import (
-    CRITERION_DATALOG,
-    CRITERION_JOINTLY_ACYCLIC,
-    CRITERION_MFA,
-    CRITERION_SUPER_WEAKLY_ACYCLIC,
     CRITERION_UNKNOWN,
-    CRITERION_WEAKLY_ACYCLIC,
-    MFA_TERMINATES,
+    DEFAULT_MFA_MAX_STEPS,
     TERMINATION_CRITERIA,
     estimate_chase_cost,
-    find_joint_cycle,
-    find_super_weak_cycle,
-    is_weakly_acyclic,
-    mfa_check,
+    termination_ladder,
 )
 from ..core.theory import Theory
 from ..datalog.stratification import is_stratified
@@ -53,12 +46,6 @@ __all__ = [
 
 #: Version of the ``repro advise`` JSON report layout.
 ADVICE_SCHEMA_VERSION = 1
-
-#: Default critical-instance chase budget for the MFA rung.  Larger than
-#: the linter's (the advisor runs once per registered theory, not on
-#: every editor keystroke) but still bounded: exhaustion degrades the
-#: verdict to "unknown", never to an overclaim.
-ADVISE_MFA_MAX_STEPS = 2048
 
 #: Engine applicability verdicts (``StrategyAdvice.engines`` values).
 ENGINE_COMPLETE = "complete"
@@ -107,50 +94,34 @@ def advise(
     theory: Theory,
     *,
     labels: Optional[Classification] = None,
-    mfa_max_steps: int = ADVISE_MFA_MAX_STEPS,
+    mfa_max_steps: int = DEFAULT_MFA_MAX_STEPS,
 ) -> StrategyAdvice:
     """Predict the right answering strategy for ``theory``.
 
-    Climbs the acyclicity ladder lazily (each rung only when every
-    weaker one failed), so the common weakly acyclic case never pays for
-    the critical-instance chase.  The returned recommendation is the
+    Reads one :func:`~repro.chase.termination.termination_ladder` climb,
+    so the common weakly acyclic case never pays for the
+    critical-instance chase.  The returned recommendation is the
     planner's ``auto`` strategy; ``labels`` can be passed in when
     classification already ran (the registry does)."""
     with span("analysis.advisor", rules=len(theory)):
         if labels is None:
             with span("analysis.advisor.classify"):
                 labels = classify(theory)
-        mfa_summary: Optional[dict[str, Any]] = None
-        witness: Optional[dict[str, Any]] = None
         with span("analysis.advisor.ladder") as ladder_span:
-            if theory.is_datalog():
-                criterion = CRITERION_DATALOG
-            elif is_weakly_acyclic(theory):
-                criterion = CRITERION_WEAKLY_ACYCLIC
-            elif find_joint_cycle(theory) is None:
-                criterion = CRITERION_JOINTLY_ACYCLIC
-            else:
-                swa_cycle = find_super_weak_cycle(theory)
-                if swa_cycle is None:
-                    criterion = CRITERION_SUPER_WEAKLY_ACYCLIC
-                else:
-                    with span("analysis.advisor.mfa", budget=mfa_max_steps):
-                        result = mfa_check(theory, max_steps=mfa_max_steps)
-                    mfa_summary = result.to_dict()
-                    if result.verdict == MFA_TERMINATES:
-                        criterion = CRITERION_MFA
-                    else:
-                        criterion = CRITERION_UNKNOWN
-                        witness = {
-                            "super_weak_cycle": [
-                                {"rule": rule_index, "variable": variable.name}
-                                for rule_index, variable in swa_cycle
-                            ],
-                            "mfa": mfa_summary,
-                        }
+            ladder = termination_ladder(theory, mfa_max_steps=mfa_max_steps)
             if ladder_span is not None:
-                ladder_span.set(criterion=criterion)
-        terminates = criterion != CRITERION_UNKNOWN
+                ladder_span.set(criterion=ladder.criterion)
+        criterion, terminates = ladder.criterion, ladder.terminates
+        mfa_summary = ladder.mfa.to_dict() if ladder.mfa is not None else None
+        witness: Optional[dict[str, Any]] = None
+        if not terminates and ladder.super_weak_cycle is not None:
+            witness = {
+                "super_weak_cycle": [
+                    {"rule": rule_index, "variable": variable.name}
+                    for rule_index, variable in ladder.super_weak_cycle
+                ],
+                "mfa": mfa_summary,
+            }
         with span("analysis.advisor.estimate"):
             estimate = estimate_chase_cost(theory)
         cost = estimate.to_dict() if estimate is not None else None

@@ -9,8 +9,8 @@
   not weakly frontier-guarded, i.e. the theory falls outside every class;
   GRD002/GRD003 notes), with guard-gap and affected-position-derivation
   witnesses;
-* **termination** — the acyclicity ladder (TRM001 weak, TRM002 joint,
-  TRM003 super-weak, TRM004 model-faithful via a bounded
+* **termination** — one ``termination_ladder`` climb (TRM001 weak,
+  TRM002 joint, TRM003 super-weak, TRM004 model-faithful via a bounded
   critical-instance chase) with cycle/trace witnesses; each rung is
   reported informationally when a later rung still proves termination;
 * **estimation** — predicted chase cost on weakly acyclic theories:
@@ -32,14 +32,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..chase.termination import (
+    CRITERION_MFA,
     MFA_CYCLIC,
-    MFA_TERMINATES,
     estimate_chase_cost,
-    find_joint_cycle,
-    find_special_cycle,
-    find_super_weak_cycle,
-    mfa_check,
-    position_dependency_graph,
+    termination_ladder,
 )
 from ..core.atoms import Atom, NegatedAtom
 from ..core.parser import ParseError, parse_rules
@@ -246,33 +242,24 @@ def _argument_uvars(rule: Rule) -> set:
 # termination pass — TRM001 / TRM002 / TRM003 / TRM004
 # ----------------------------------------------------------------------
 
-#: Critical-instance chase budget used by the linter's MFA rung.  Small
-#: on purpose: lint must stay fast, and an inconclusive ("exhausted")
-#: check simply leaves TRM003 at warning severity.
+#: Critical-instance chase budget used by the linter's MFA rung.  Smaller
+#: than the advisor's default on purpose: lint runs on every edit and must
+#: stay fast, and an inconclusive ("exhausted") check simply leaves TRM003
+#: at warning severity.
 LINT_MFA_MAX_STEPS = 512
 
 
 def termination_pass(ctx: AnalysisContext) -> list[Diagnostic]:
     theory = ctx.theory
-    if theory is None or theory.is_datalog():
+    if theory is None:
         return []
-    graph = position_dependency_graph(theory)
-    cycle = find_special_cycle(graph)
-    if cycle is None:
+    ladder = termination_ladder(theory, mfa_max_steps=LINT_MFA_MAX_STEPS)
+    cycle, graph = ladder.special_cycle, ladder.position_graph
+    if cycle is None or graph is None:
         return []
-    # Climb the ladder only as far as needed: each rung is checked only
-    # when every weaker criterion has already failed.
-    joint_cycle = find_joint_cycle(theory)
-    swa_cycle = find_super_weak_cycle(theory) if joint_cycle is not None else None
-    mfa = (
-        mfa_check(theory, max_steps=LINT_MFA_MAX_STEPS)
-        if swa_cycle is not None
-        else None
-    )
-    mfa_terminates = mfa is not None and mfa.verdict == MFA_TERMINATES
-    terminates_later = (
-        joint_cycle is None or swa_cycle is None or mfa_terminates
-    )
+    joint_cycle, swa_cycle = ladder.joint_cycle, ladder.super_weak_cycle
+    mfa = ladder.mfa
+    mfa_terminates = ladder.criterion == CRITERION_MFA
     cycle_witness = [
         {
             "source": list(source),
@@ -305,7 +292,7 @@ def termination_pass(ctx: AnalysisContext) -> list[Diagnostic]:
             rule_index=anchor,
             span=ctx.span_of(anchor) if anchor is not None else None,
             witness={"cycle": cycle_witness},
-            severity=Severity.INFO if terminates_later else None,
+            severity=Severity.INFO if ladder.terminates else None,
         )
     ]
     if joint_cycle is not None:

@@ -32,8 +32,15 @@ the plain chase is a complete decision procedure (no budgets needed):
   the skolem chase on the *critical instance* — one fact per relation
   over the rule constants plus a fresh ``*`` — and accept iff it reaches
   a fixpoint without ever nesting a Skolem function inside itself.  The
-  run is bounded (``max_steps``); exceeding the budget is reported as
-  ``exhausted``, never as termination, so the verdict stays sound.
+  run is bounded (``max_steps``, :data:`DEFAULT_MFA_MAX_STEPS` unless
+  given); exceeding the budget is reported as ``exhausted``, never as
+  termination, so the verdict stays sound.
+
+:func:`termination_ladder` is the one climb: datalog, then each rung in
+turn, each only after every weaker one failed.  Its
+:class:`TerminationLadder` keeps the witness of every failed rung, and
+:func:`chase_terminates`, the strategy advisor, the lint termination
+pass and ``repro termination`` all read that one result.
 
 Scope of every positive verdict: the **skolem** (semi-oblivious) and
 **restricted** chases terminate on every database.  The oblivious chase
@@ -56,6 +63,7 @@ from ..core.atoms import Atom, RelationKey
 from ..core.terms import Constant, Variable
 from ..core.theory import Theory
 from ..guardedness.affected import Position, positions_of
+from ..obs.runtime import span
 
 __all__ = [
     "CRITERION_DATALOG",
@@ -65,6 +73,7 @@ __all__ = [
     "CRITERION_MFA",
     "CRITERION_UNKNOWN",
     "TERMINATION_CRITERIA",
+    "DEFAULT_MFA_MAX_STEPS",
     "MFA_TERMINATES",
     "MFA_CYCLIC",
     "MFA_EXHAUSTED",
@@ -87,6 +96,8 @@ __all__ = [
     "position_ranks",
     "CostEstimate",
     "estimate_chase_cost",
+    "TerminationLadder",
+    "termination_ladder",
     "chase_terminates",
 ]
 
@@ -102,8 +113,8 @@ CRITERION_MFA = "model-faithful-acyclic"
 #: Not proven — the problem is undecidable, so this is never "diverges".
 CRITERION_UNKNOWN = "unknown"
 
-#: The ladder in the order ``chase_terminates`` climbs it (each criterion
-#: subsumes all earlier ones on existential theories).
+#: The ladder in the order ``termination_ladder`` climbs it (each
+#: criterion subsumes all earlier ones on existential theories).
 TERMINATION_CRITERIA = (
     CRITERION_DATALOG,
     CRITERION_WEAKLY_ACYCLIC,
@@ -116,6 +127,12 @@ TERMINATION_CRITERIA = (
 MFA_TERMINATES = "terminates"
 MFA_CYCLIC = "cyclic"
 MFA_EXHAUSTED = "exhausted"
+
+#: Default critical-instance chase budget (steps) of the MFA rung, for the
+#: strategy advisor, ``repro advise`` and ``repro termination``.  Bounded:
+#: exhaustion degrades the verdict to "unknown", never to an overclaim.
+#: The linter runs on every edit and keeps a smaller budget of its own.
+DEFAULT_MFA_MAX_STEPS = 2048
 
 #: A node of the joint-acyclicity graph: (rule index, existential variable).
 ExistentialNode = tuple[int, Variable]
@@ -141,29 +158,6 @@ class PositionGraph:
                 found.add(source)
                 found.add(target)
         return found
-
-    def has_cycle_through_special(self) -> bool:
-        """Is there a cycle using at least one special edge?
-
-        Standard check: for each special edge ``(u, v)``, test whether
-        ``u`` is reachable from ``v`` over all edges."""
-        successors: dict[Position, set[Position]] = {}
-        for source, target in self.regular | self.special:
-            successors.setdefault(source, set()).add(target)
-
-        def reachable(start: Position, goal: Position) -> bool:
-            stack, seen = [start], {start}
-            while stack:
-                node = stack.pop()
-                if node == goal:
-                    return True
-                for nxt in successors.get(node, ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            return False
-
-        return any(reachable(v, u) for u, v in self.special)
 
 
 def position_dependency_graph(theory: Theory) -> PositionGraph:
@@ -245,7 +239,7 @@ def find_special_cycle(
 def is_weakly_acyclic(theory: Theory) -> bool:
     """Weak acyclicity — the restricted/skolem chase terminates on every
     database (in polynomially many steps)."""
-    return not position_dependency_graph(theory).has_cycle_through_special()
+    return find_special_cycle(position_dependency_graph(theory)) is None
 
 
 def _existential_move_sets(theory: Theory) -> dict[tuple[int, Variable], set[Position]]:
@@ -671,7 +665,8 @@ class MfaResult:
 
 
 def mfa_check(
-    theory: Theory, *, max_steps: int = 2048, max_atoms: int = 50_000
+    theory: Theory, *, max_steps: int = DEFAULT_MFA_MAX_STEPS,
+    max_atoms: int = 50_000,
 ) -> MfaResult:
     """Bounded MFA: skolem-chase the critical instance, watching for a
     Skolem function applied (transitively) to its own output.
@@ -770,7 +765,9 @@ def mfa_check(
     )
 
 
-def is_model_faithful_acyclic(theory: Theory, *, max_steps: int = 2048) -> bool:
+def is_model_faithful_acyclic(
+    theory: Theory, *, max_steps: int = DEFAULT_MFA_MAX_STEPS
+) -> bool:
     """MFA within budget — subsumes super-weak acyclicity (a larger
     budget can only turn ``False`` into ``True``, never the reverse)."""
     return mfa_check(theory, max_steps=max_steps).verdict == MFA_TERMINATES
@@ -922,10 +919,71 @@ def estimate_chase_cost(theory: Theory) -> Optional[CostEstimate]:
 # ----------------------------------------------------------------------
 # the ladder entry point
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class TerminationLadder:
+    """One climb of the ladder: the criterion of the first rung that
+    proves termination (:data:`CRITERION_UNKNOWN` when none does) and the
+    witness of every rung that ran and failed.
+
+    ``position_graph`` is built for every existential theory;
+    ``special_cycle``, ``joint_cycle`` and ``super_weak_cycle`` are the
+    weak, joint and super-weak rungs' failures, in the formats of
+    :func:`find_special_cycle` and :func:`find_joint_cycle`; ``mfa`` is
+    the critical-instance chase whenever the MFA rung ran, the proof when
+    its verdict is :data:`MFA_TERMINATES`."""
+
+    criterion: str
+    position_graph: Optional[PositionGraph] = None
+    special_cycle: Optional[list[tuple[Position, Position, bool]]] = None
+    joint_cycle: Optional[list[ExistentialNode]] = None
+    super_weak_cycle: Optional[list[ExistentialNode]] = None
+    mfa: Optional[MfaResult] = None
+
+    @property
+    def terminates(self) -> bool:
+        return self.criterion != CRITERION_UNKNOWN
+
+
+def termination_ladder(
+    theory: Theory, *, mfa_max_steps: Optional[int]
+) -> TerminationLadder:
+    """Climb datalog → weak → joint → super-weak → MFA once, stopping at
+    the first rung that proves termination.
+
+    A rung runs only after every weaker one failed, so a weakly acyclic
+    theory never pays for the cycle searches above it or for the
+    critical-instance chase.  ``mfa_max_steps=None`` skips the MFA rung;
+    otherwise it runs under a ``chase.termination.mfa`` span."""
+    if theory.is_datalog():
+        return TerminationLadder(CRITERION_DATALOG)
+    graph = position_dependency_graph(theory)
+    special_cycle = find_special_cycle(graph)
+    if special_cycle is None:
+        return TerminationLadder(CRITERION_WEAKLY_ACYCLIC, graph)
+    joint_cycle = find_joint_cycle(theory)
+    if joint_cycle is None:
+        return TerminationLadder(CRITERION_JOINTLY_ACYCLIC, graph, special_cycle)
+    super_weak_cycle = find_super_weak_cycle(theory)
+    if super_weak_cycle is None:
+        return TerminationLadder(
+            CRITERION_SUPER_WEAKLY_ACYCLIC, graph, special_cycle, joint_cycle
+        )
+    mfa: Optional[MfaResult] = None
+    if mfa_max_steps is not None:
+        with span("chase.termination.mfa", budget=mfa_max_steps):
+            mfa = mfa_check(theory, max_steps=mfa_max_steps)
+    proven = mfa is not None and mfa.verdict == MFA_TERMINATES
+    return TerminationLadder(
+        CRITERION_MFA if proven else CRITERION_UNKNOWN,
+        graph, special_cycle, joint_cycle, super_weak_cycle, mfa,
+    )
+
+
 def chase_terminates(
     theory: Theory, *, mfa_max_steps: Optional[int] = None
 ) -> tuple[bool, str]:
-    """Best-effort static termination verdict, climbing the ladder.
+    """Best-effort static termination verdict: :func:`termination_ladder`
+    as a pair.
 
     Returns ``(True, criterion)`` naming the *first* criterion that
     proves termination (one of :data:`TERMINATION_CRITERIA`) and
@@ -941,16 +999,5 @@ def chase_terminates(
     still diverge (it invents a fresh null per trigger even for repeated
     frontier images, e.g. on ``P2(x,y) → ∃z P1(z)`` fed back by
     ``P1(x) → P2(x,x)``)."""
-    if theory.is_datalog():
-        return True, CRITERION_DATALOG
-    if is_weakly_acyclic(theory):
-        return True, CRITERION_WEAKLY_ACYCLIC
-    if is_jointly_acyclic(theory):
-        return True, CRITERION_JOINTLY_ACYCLIC
-    if is_super_weakly_acyclic(theory):
-        return True, CRITERION_SUPER_WEAKLY_ACYCLIC
-    if mfa_max_steps is not None and is_model_faithful_acyclic(
-        theory, max_steps=mfa_max_steps
-    ):
-        return True, CRITERION_MFA
-    return False, CRITERION_UNKNOWN
+    ladder = termination_ladder(theory, mfa_max_steps=mfa_max_steps)
+    return ladder.terminates, ladder.criterion

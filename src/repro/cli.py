@@ -52,14 +52,7 @@ from .analysis import (
     analyze_text,
 )
 from .chase.runner import ChaseBudget, chase
-from .chase.termination import (
-    chase_terminates,
-    find_joint_cycle,
-    find_special_cycle,
-    find_super_weak_cycle,
-    mfa_check,
-    position_dependency_graph,
-)
+from .chase.termination import DEFAULT_MFA_MAX_STEPS, termination_ladder
 from .core.database import Database
 from .core.parser import ParseError, parse_database, parse_theory, render_theory
 from .core.theory import Theory
@@ -211,40 +204,36 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_termination(args: argparse.Namespace) -> int:
-    theory = _load_theory(args.theory)
-    terminates, reason = chase_terminates(theory, mfa_max_steps=args.mfa_steps)
-    print(f"terminates: {'yes' if terminates else 'unknown'} ({reason})")
-    if reason not in ("datalog", "weakly-acyclic"):
-        cycle = find_special_cycle(position_dependency_graph(theory))
-        if cycle is not None:
-            print("not weakly acyclic: cycle through a special edge:")
-            for source, target, special in cycle:
-                arrow = "=>" if special else "->"
-                print(
-                    f"  ({source[0]},{source[1]}) {arrow} "
-                    f"({target[0]},{target[1]})"
-                )
-    if reason not in ("datalog", "weakly-acyclic", "jointly-acyclic"):
-        joint_cycle = find_joint_cycle(theory)
-        if joint_cycle is not None:
-            rendered = " -> ".join(
-                f"{variable.name}@rule{index}" for index, variable in joint_cycle
-            )
-            print(f"not jointly acyclic: {rendered} -> (wraps)")
-    if reason in ("model-faithful-acyclic", "unknown"):
-        swa_cycle = find_super_weak_cycle(theory)
-        if swa_cycle is not None:
-            rendered = " -> ".join(
-                f"{variable.name}@rule{index}" for index, variable in swa_cycle
-            )
-            print(f"not super-weakly acyclic: {rendered} -> (wraps)")
-            result = mfa_check(theory, max_steps=args.mfa_steps or 512)
+    ladder = termination_ladder(
+        _load_theory(args.theory), mfa_max_steps=args.mfa_steps
+    )
+    verdict = "yes" if ladder.terminates else "unknown"
+    print(f"terminates: {verdict} ({ladder.criterion})")
+    if ladder.special_cycle is not None:
+        print("not weakly acyclic: cycle through a special edge:")
+        for source, target, special in ladder.special_cycle:
+            arrow = "=>" if special else "->"
             print(
-                f"critical-instance chase: {result.verdict} after "
-                f"{result.steps} steps ({result.atoms} atoms, "
-                f"null depth {result.depth})"
+                f"  ({source[0]},{source[1]}) {arrow} "
+                f"({target[0]},{target[1]})"
             )
-    return 0 if terminates else 1
+    for label, cycle in (
+        ("jointly", ladder.joint_cycle),
+        ("super-weakly", ladder.super_weak_cycle),
+    ):
+        if cycle is not None:
+            rendered = " -> ".join(
+                f"{variable.name}@rule{index}" for index, variable in cycle
+            )
+            print(f"not {label} acyclic: {rendered} -> (wraps)")
+    result = ladder.mfa
+    if result is not None:
+        print(
+            f"critical-instance chase: {result.verdict} after "
+            f"{result.steps} steps ({result.atoms} atoms, "
+            f"null depth {result.depth})"
+        )
+    return 0 if ladder.terminates else 1
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
@@ -640,9 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("theory")
     p.add_argument(
-        "--mfa-steps", type=int, default=None, metavar="N",
-        help="also climb to the MFA rung with an N-step critical-instance "
-        "chase budget (default: graph criteria only)",
+        "--mfa-steps", type=int, default=DEFAULT_MFA_MAX_STEPS, metavar="N",
+        help="critical-instance chase budget of the MFA rung, which runs "
+        "when the graph criteria fail (default %(default)s, as in "
+        "'repro advise')",
     )
     p.set_defaults(handler=_cmd_termination)
 
@@ -655,8 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument(
-        "--mfa-steps", type=int, default=2048, metavar="N",
-        help="critical-instance chase budget for the MFA rung (default 2048)",
+        "--mfa-steps", type=int, default=DEFAULT_MFA_MAX_STEPS, metavar="N",
+        help="critical-instance chase budget for the MFA rung "
+        "(default %(default)s)",
     )
     p.set_defaults(handler=_cmd_advise)
 

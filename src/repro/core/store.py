@@ -92,7 +92,6 @@ __all__ = [
     "SnapshotError",
     "save_snapshot",
     "load_snapshot",
-    "snapshot_stats",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
 ]
@@ -103,21 +102,6 @@ SNAPSHOT_VERSION = 1
 #: Kind bits of the per-symbol byte in the snapshot symbol section.
 _KIND_NULL = 0b01
 _KIND_OCCURS = 0b10
-
-#: Process-lifetime snapshot counters, mirroring ``plan._stats`` — the
-#: worker pool reads them as before/after deltas per job.
-_snapshot_stats = {
-    "loads": 0,
-    "saves": 0,
-    "load_errors": 0,
-    "bytes_read": 0,
-    "bytes_written": 0,
-}
-
-
-def snapshot_stats() -> dict[str, int]:
-    """Lifetime snapshot I/O counters (process-global)."""
-    return dict(_snapshot_stats)
 
 
 class SnapshotError(Exception):
@@ -525,8 +509,6 @@ def save_snapshot(
         handle.write(digest)
         total += len(digest)
     os.replace(tmp_path, path)
-    _snapshot_stats["saves"] += 1
-    _snapshot_stats["bytes_written"] += total
     obs = _obs_current()
     if obs is not None:
         obs.inc("store.snapshot_saves")
@@ -575,8 +557,6 @@ def load_snapshot(
         view.release()
         mapped.close()
         raise _load_error(f"malformed snapshot {path}: {exc}") from exc
-    _snapshot_stats["loads"] += 1
-    _snapshot_stats["bytes_read"] += len(mapped)
     obs = _obs_current()
     if obs is not None:
         obs.inc("store.snapshot_loads")
@@ -585,7 +565,6 @@ def load_snapshot(
 
 
 def _load_error(message: str) -> SnapshotError:
-    _snapshot_stats["load_errors"] += 1
     obs = _obs_current()
     if obs is not None:
         obs.inc("store.snapshot_load_errors")

@@ -163,10 +163,6 @@ def positive_reduct(theory: Theory) -> Theory:
     )
 
 
-# Backwards-compatible private alias.
-_positive_reduct = positive_reduct
-
-
 @dataclass(frozen=True)
 class GuardGap:
     """Why no single body atom guards a required variable set.
@@ -221,25 +217,25 @@ def is_frontier_guarded(theory: Theory) -> bool:
 
 
 def is_weakly_guarded(theory: Theory) -> bool:
-    reduct = _positive_reduct(theory)
+    reduct = positive_reduct(theory)
     ap = affected_positions(reduct)
     return all(is_weakly_guarded_rule(rule, reduct, ap) for rule in theory)
 
 
 def is_weakly_frontier_guarded(theory: Theory) -> bool:
-    reduct = _positive_reduct(theory)
+    reduct = positive_reduct(theory)
     ap = affected_positions(reduct)
     return all(is_weakly_frontier_guarded_rule(rule, reduct, ap) for rule in theory)
 
 
 def is_nearly_guarded(theory: Theory) -> bool:
-    reduct = _positive_reduct(theory)
+    reduct = positive_reduct(theory)
     ap = affected_positions(reduct)
     return all(is_nearly_guarded_rule(rule, reduct, ap) for rule in theory)
 
 
 def is_nearly_frontier_guarded(theory: Theory) -> bool:
-    reduct = _positive_reduct(theory)
+    reduct = positive_reduct(theory)
     ap = affected_positions(reduct)
     return all(is_nearly_frontier_guarded_rule(rule, reduct, ap) for rule in theory)
 
@@ -277,7 +273,7 @@ class Classification:
 
 def classify(theory: Theory) -> Classification:
     """Label a theory with every Figure-1 class it syntactically belongs to."""
-    reduct = _positive_reduct(theory)
+    reduct = positive_reduct(theory)
     ap = affected_positions(reduct)
     return Classification(
         datalog=theory.is_datalog(),

@@ -22,6 +22,7 @@ from repro.analysis.advisor import (
     ENGINE_NOT_APPLICABLE,
     ENGINE_TERMINATES,
 )
+from repro.chase import DEFAULT_MFA_MAX_STEPS, chase_terminates
 from repro.cli import main
 from repro.core import parse_theory
 from repro.obs import instrumented
@@ -96,6 +97,30 @@ class TestLadder:
         assert advice.cost is not None
         assert advice.cost["total_degree"] >= 1
         assert advise(parse_theory(SWA)).cost is None
+
+
+class TestSurfacesAgree:
+    """The advisor, ``chase_terminates`` and ``repro termination`` read one
+    ladder climb under one default budget, so they name one criterion."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [text for text, _, _ in LADDER] + [LOOP],
+        ids=[criterion for _, criterion, _ in LADDER] + ["unknown"],
+    )
+    def test_one_criterion(self, text, capsys, tmp_path):
+        theory = parse_theory(text)
+        criterion = advise(theory).criterion
+        terminates, reason = chase_terminates(
+            theory, mfa_max_steps=DEFAULT_MFA_MAX_STEPS
+        )
+        assert reason == criterion
+        path = tmp_path / "theory.rules"
+        path.write_text(text + "\n")
+        assert main(["termination", str(path)]) == (0 if terminates else 1)
+        verdict = "yes" if terminates else "unknown"
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"terminates: {verdict} ({criterion})"
 
 
 class TestEngines:

@@ -3,11 +3,15 @@ example theories, JSON schema validation, ``--fail-on`` semantics, and
 parse-error reporting with line numbers (exit code 2)."""
 
 import json
+import sys
 
 import pytest
 
 from repro.analysis import REPORT_JSON_SCHEMA, REPORT_SCHEMA_VERSION
+from repro.chase import termination
 from repro.cli import main
+
+from .test_advisor import LOOP, MFA
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -173,6 +177,46 @@ class TestTerminationWitness:
         out = capsys.readouterr().out
         assert out.strip() == "terminates: yes (weakly-acyclic)"
 
+    def test_mfa_theory_terminates(self, capsys, tmp_path):
+        # The default budget is the advisor's, so is the verdict: the
+        # graph rungs fail and the critical-instance chase proves it.
+        path = tmp_path / "mfa.rules"
+        path.write_text(MFA + "\n")
+        assert main(["termination", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "terminates: yes (model-faithful-acyclic)"
+        assert "critical-instance chase: terminates after" in out
+
+    def test_climbs_each_rung_once(self, capsys, tmp_path, monkeypatch):
+        calls = dict.fromkeys(
+            (
+                "position_dependency_graph",
+                "find_joint_cycle",
+                "find_super_weak_cycle",
+                "mfa_check",
+            ),
+            0,
+        )
+        for name in calls:
+            original = getattr(termination, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            # Wrap every binding of the function, not just its home module.
+            for module_name, module in list(sys.modules.items()):
+                if (
+                    module_name.startswith("repro")
+                    and getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, counted)
+        path = tmp_path / "loop.rules"
+        path.write_text(LOOP + "\n")
+        assert main(["termination", str(path), "--mfa-steps", "64"]) == 1
+        capsys.readouterr()
+        assert calls == dict.fromkeys(calls, 1)
+
 
 class TestStatsIntegration:
     def test_lint_stats_reports_pass_spans(self, capsys):
@@ -180,3 +224,10 @@ class TestStatsIntegration:
         err = capsys.readouterr().err
         assert "analysis.guardedness" in err
         assert "analysis.diagnostics" in err
+
+    def test_critical_instance_chase_is_traced(self, capsys, tmp_path):
+        path = tmp_path / "mfa.rules"
+        path.write_text(MFA + "\n")
+        for command in ("termination", "lint"):
+            assert main([command, str(path), "--stats"]) == 0
+            assert "chase.termination.mfa" in capsys.readouterr().err
