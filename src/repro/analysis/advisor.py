@@ -30,6 +30,7 @@ from ..chase.termination import (
     DEFAULT_MFA_MAX_STEPS,
     TERMINATION_CRITERIA,
     estimate_chase_cost,
+    position_dependency_graph,
     termination_ladder,
 )
 from ..core.theory import Theory
@@ -123,7 +124,12 @@ def advise(
                 "mfa": mfa_summary,
             }
         with span("analysis.advisor.estimate"):
-            estimate = estimate_chase_cost(theory)
+            # A special cycle already means no polynomial bound.  The
+            # ladder graphs every existential theory, no Datalog one.
+            estimate = None
+            if ladder.special_cycle is None:
+                graph = ladder.position_graph or position_dependency_graph(theory)
+                estimate = estimate_chase_cost(theory, graph)
         cost = estimate.to_dict() if estimate is not None else None
 
         # Only the Datalog engine evaluates negation: the chase and the

@@ -50,10 +50,6 @@ class Severity(enum.IntEnum):
     def label(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_label(cls, label: str) -> "Severity":
-        return cls[label.upper()]
-
 
 @dataclass(frozen=True)
 class CodeInfo:

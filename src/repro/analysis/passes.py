@@ -29,11 +29,13 @@ Every pass is traced as an ``analysis.<name>`` span when
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..chase.termination import (
     CRITERION_MFA,
     MFA_CYCLIC,
+    TerminationLadder,
     estimate_chase_cost,
     termination_ladder,
 )
@@ -55,6 +57,12 @@ from .diagnostics import CODES, AnalysisReport, Diagnostic, Severity
 
 __all__ = ["AnalysisContext", "analyze", "analyze_text", "PASSES"]
 
+#: Critical-instance chase budget used by the linter's MFA rung.  Smaller
+#: than the advisor's default on purpose: lint runs on every edit and must
+#: stay fast, and an inconclusive ("exhausted") check simply leaves TRM003
+#: at warning severity.
+LINT_MFA_MAX_STEPS = 512
+
 
 @dataclass
 class AnalysisContext:
@@ -66,6 +74,14 @@ class AnalysisContext:
 
     def span_of(self, rule_index: int) -> Optional[SourceSpan]:
         return self.rules[rule_index].span
+
+    @cached_property
+    def ladder(self) -> TerminationLadder:
+        """The one termination-ladder climb of ``theory`` that the
+        termination and estimation passes read; only read once
+        ``theory`` is set."""
+        assert self.theory is not None
+        return termination_ladder(self.theory, mfa_max_steps=LINT_MFA_MAX_STEPS)
 
 
 def _diag(
@@ -241,19 +257,10 @@ def _argument_uvars(rule: Rule) -> set:
 # ----------------------------------------------------------------------
 # termination pass — TRM001 / TRM002 / TRM003 / TRM004
 # ----------------------------------------------------------------------
-
-#: Critical-instance chase budget used by the linter's MFA rung.  Smaller
-#: than the advisor's default on purpose: lint runs on every edit and must
-#: stay fast, and an inconclusive ("exhausted") check simply leaves TRM003
-#: at warning severity.
-LINT_MFA_MAX_STEPS = 512
-
-
 def termination_pass(ctx: AnalysisContext) -> list[Diagnostic]:
-    theory = ctx.theory
-    if theory is None:
+    if ctx.theory is None:
         return []
-    ladder = termination_ladder(theory, mfa_max_steps=LINT_MFA_MAX_STEPS)
+    ladder = ctx.ladder
     cycle, graph = ladder.special_cycle, ladder.position_graph
     if cycle is None or graph is None:
         return []
@@ -386,10 +393,13 @@ def termination_pass(ctx: AnalysisContext) -> list[Diagnostic]:
 # estimation pass — EST001 / EST002
 # ----------------------------------------------------------------------
 def estimation_pass(ctx: AnalysisContext) -> list[Diagnostic]:
-    theory = ctx.theory
-    if theory is None or theory.is_datalog():
+    if ctx.theory is None:
         return []
-    estimate = estimate_chase_cost(theory)
+    ladder = ctx.ladder
+    estimate = None
+    # The ladder graphs existential theories only.
+    if ladder.position_graph is not None and ladder.special_cycle is None:
+        estimate = estimate_chase_cost(ctx.theory, ladder.position_graph)
     if estimate is None:
         # Cost bounds are only derivable under weak acyclicity; the
         # termination pass already reports why the ladder was needed.

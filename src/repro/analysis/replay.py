@@ -384,7 +384,8 @@ def _replay_mfa_cyclic(diagnostic: Diagnostic, rules: Sequence[Rule]) -> None:
 def _replay_cost_estimate(diagnostic: Diagnostic, rules: Sequence[Rule]) -> None:
     """EST bounds are a function of the position graph; recompute the
     degree/rank fixpoint and compare every claimed figure exactly."""
-    estimate = estimate_chase_cost(Theory(rules))
+    theory = Theory(rules)
+    estimate = estimate_chase_cost(theory, position_dependency_graph(theory))
     if estimate is None:
         _fail(diagnostic, "theory is not weakly acyclic; no bound derivable")
     cost = estimate.to_dict()

@@ -86,12 +86,6 @@ class ChaseTree:
         candidates = self.minimal_nodes(terms)
         return candidates[0] if candidates else None
 
-    def containing_node(self, terms: set[Term]) -> Optional[ChaseTreeNode]:
-        for node in self.nodes:
-            if terms <= node.terms():
-                return node
-        return None
-
     # ------------------------------------------------------------------
     def insert_atom(self, atom: Atom, frontier_image: set[Term]) -> ChaseTreeNode:
         """Insert a chase-produced atom per (C1)/(C2) of Definition 6.

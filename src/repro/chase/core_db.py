@@ -90,10 +90,7 @@ def core_of(database: Database, max_iterations: int = 10_000) -> Database:
             mapping = _shrinking_endomorphism(current)
         if mapping is None:
             return current
-        current = Database(
-            (atom.substitute(dict(mapping)) for atom in current),
-            freeze_acdom=False,
-        )
+        current = Database(atom.substitute(dict(mapping)) for atom in current)
     raise ConvergenceError(
         f"core computation did not converge within {max_iterations} folds "
         f"({len(current.nulls())} nulls remaining)"

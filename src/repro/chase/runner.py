@@ -63,7 +63,7 @@ from ..core.database import Database
 from ..core.homomorphism import extends_to_head, homomorphisms
 from ..core.rules import Rule
 from ..core.terms import Constant, Null, Term, Variable
-from ..core.theory import Query, Theory
+from ..core.theory import ACDOM, Query, Theory
 from ..datalog.engine import answers_in, derivations, seminaive, would_derive
 from ..obs.runtime import current as _obs_current
 from ..robustness.errors import (
@@ -993,7 +993,20 @@ def extend_chase(
     Not sound after a *retraction*: removed atoms may have supported
     null-introducing derivations, so callers must fall back to a full
     recompute (``repro.incremental`` reports that fallback explicitly).
+
+    Refuses a theory that reads ``ACDom`` with
+    :class:`~repro.robustness.errors.InvalidRequestError`: a new constant
+    enlarges the input's active domain, and since ``ACDom`` is virtual no
+    delta atom pins a trigger that reaches the new constant through it
+    (``P(x), ACDom(y) -> Q(x, y)`` extended by ``P(b)`` misses
+    ``Q(a, b)``).  Recompute instead.
     """
+    if ACDOM in theory.relations():
+        raise InvalidRequestError(
+            f"extend_chase cannot resume a theory that reads {ACDOM}: "
+            "new constants join the active domain, and no inserted atom "
+            "pins the triggers that reach them through it; recompute"
+        )
     engine = _engine(
         policy, theory, database, budget, null_prefix, False, governor
     )

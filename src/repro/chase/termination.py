@@ -51,7 +51,8 @@ suppress inferences).
 :func:`estimate_chase_cost` turns a weakly acyclic position graph into a
 polynomial cost estimate — per-position degrees, per-relation fact-count
 exponents and per-existential null-generation exponents — consumed by
-the EST001/EST002 lint passes and the strategy advisor.
+the EST001/EST002 lint passes and the strategy advisor, which hand it
+the ladder's graph, so each builds the graph once.
 """
 
 from __future__ import annotations
@@ -841,10 +842,14 @@ class CostEstimate:
         }
 
 
-def estimate_chase_cost(theory: Theory) -> Optional[CostEstimate]:
-    """Degree bounds from the position graph and rule fan-out, or
+def estimate_chase_cost(
+    theory: Theory, graph: PositionGraph
+) -> Optional[CostEstimate]:
+    """Degree bounds from the theory's position graph (``graph``, as
+    :func:`position_dependency_graph` builds it) and rule fan-out, or
     ``None`` when the theory is not weakly acyclic (no polynomial bound
-    exists to report).
+    exists to report).  Callers that climbed the ladder pass its graph,
+    and skip the call when the ladder found a special cycle.
 
     The fixpoint: every position starts at degree 1 (the database may
     fill it with any of the ``n`` domain values); regular edges copy
@@ -853,7 +858,6 @@ def estimate_chase_cost(theory: Theory) -> Optional[CostEstimate]:
     variables, the cheapest body position each must match — and those
     nulls land on ``y``'s head positions.  Weak acyclicity makes this
     monotone iteration converge."""
-    graph = position_dependency_graph(theory)
     ranks = position_ranks(graph)
     if ranks is None:
         return None

@@ -195,9 +195,6 @@ class Atom:
                 return False
         return True
 
-    def is_constant_free(self) -> bool:
-        return not self.constants()
-
     # ------------------------------------------------------------------
     # transformation
     # ------------------------------------------------------------------
@@ -212,9 +209,6 @@ class Atom:
 
     def rename_relation(self, relation: str) -> "Atom":
         return Atom(relation, self.args, self.annotation, self.span)
-
-    def with_annotation(self, annotation: Iterable[Term]) -> "Atom":
-        return Atom(self.relation, self.args, tuple(annotation), self.span)
 
     def without_annotation(self) -> "Atom":
         """Drop the annotation, keeping only argument positions."""

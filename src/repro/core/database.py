@@ -22,13 +22,15 @@ engine, saturation and the WFG pipeline.  It is columnar and interned
   ordinal, so iteration and probes hand back the same objects.
 
 Per the paper, ``ACDom(c)`` holds exactly for the constants occurring in a
-non-ACDom atom of the *input* database.  Because the chase must keep this
-extension fixed while it adds inferred atoms, the store distinguishes the
-constants present at construction (or at an explicit :meth:`freeze_acdom`)
-from constants introduced later by rules.  The views derived from a frozen
-extension (the sorted active domain and its ID forms) are cached until
-the next :meth:`freeze_acdom` or :meth:`unfreeze_acdom`, so ``ACDom``
-enumeration in the join engines is an O(1) tuple fetch.
+non-ACDom atom of the *input* database.  The input is whatever database an
+engine run (the chase, the stratified chase, Datalog evaluation) is given:
+the run fixes ``ACDom`` on its working copy with :meth:`ensure_acdom_frozen`,
+so constants that rules introduce later never enter it.  Until then a
+database tracks its constants, however it was built and grown.  A fixed
+extension and the views derived from it (the sorted active domain and its
+ID forms) are cached, :meth:`copy` carries them and snapshots store the
+extension, so ``ACDom`` enumeration in the join engines is an O(1) tuple
+fetch.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class Database:
     #: built databases.
     _snapshot_meta: Optional[dict] = None
 
-    def __init__(self, atoms: Iterable[Atom] = (), freeze_acdom: bool = True) -> None:
+    def __init__(self, atoms: Iterable[Atom] = ()) -> None:
         self._symtab = SymbolTable()
         self._relations: dict[RelationKey, ColumnRelation] = {}
         self._n_atoms = 0
@@ -87,8 +89,6 @@ class Database:
         self._buffers: list = []
         for atom in atoms:
             self.add(atom)
-        if freeze_acdom:
-            self.freeze_acdom()
 
     # ------------------------------------------------------------------
     # mutation
@@ -173,8 +173,8 @@ class Database:
         removed atoms still read as occurring (``has_term``).  Freshness
         probes (the chase's null loop) only require "never free when
         taken", so a stale-taken name costs at most a skipped candidate.
-        A frozen ACDom extension likewise keeps the *input* database's
-        constants — per the paper it is fixed at construction, not
+        A fixed ACDom extension likewise keeps the *input* database's
+        constants — per the paper it is fixed when the run starts, not
         tracked through deletions.
         """
         relation = self._relations.get(atom.relation_key)
@@ -222,34 +222,21 @@ class Database:
     def ensure_acdom_frozen(self) -> None:
         """Freeze the ACDom extension unless already frozen.
 
-        The chase calls this once at start-up so that atoms it adds later
-        (and constants introduced by rules) never enlarge ``ACDom`` — per
-        the paper the extension is fixed by the *input* database.
+        Each engine run calls this once on its working copy at start-up,
+        so that atoms it adds later (and constants introduced by rules)
+        never enlarge ``ACDom`` — per the paper the extension is fixed by
+        the *input* database.
         """
         if self._acdom is None:
             self.freeze_acdom()
 
-    def unfreeze_acdom(self) -> None:
-        """Let the ACDom extension track the current constants again.
-
-        A maintained input database (``repro.incremental``) must hash and
-        evaluate exactly like a freshly parsed copy of its current
-        contents; engines re-freeze their own copies at evaluation time.
-        """
-        self._acdom = None
-        self._reset_acdom_caches()
-
     def _reset_acdom_caches(self) -> None:
         """Drop the views derived from the ACDom extension.  They are
-        cached only while the extension is frozen, so freezing and
-        unfreezing are the only points that invalidate them."""
+        cached only while the extension is frozen, so freezing is the one
+        point that invalidates them."""
         self._acdom_sorted: Optional[tuple[Constant, ...]] = None
         self._acdom_ids: Optional[frozenset[int]] = None
         self._acdom_ids_sorted: Optional[tuple[int, ...]] = None
-
-    @property
-    def acdom_frozen(self) -> bool:
-        return self._acdom is not None
 
     # ------------------------------------------------------------------
     # queries
@@ -423,7 +410,8 @@ class Database:
         }
 
     def active_constants(self) -> frozenset[Constant]:
-        """The (frozen) extension of ``ACDom``."""
+        """The extension of ``ACDom``: as frozen, else the constants now
+        present."""
         if self._acdom is not None:
             return self._acdom
         return frozenset(self._constants_now())
@@ -501,10 +489,7 @@ class Database:
 
     def restrict_to_relations(self, names: set[str]) -> "Database":
         """A new database keeping only atoms whose relation name is in ``names``."""
-        restricted = Database(
-            (atom for atom in self if atom.relation in names),
-            freeze_acdom=False,
-        )
+        restricted = Database(atom for atom in self if atom.relation in names)
         restricted._acdom = self._acdom
         return restricted
 

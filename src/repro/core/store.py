@@ -457,9 +457,7 @@ def save_snapshot(
         for key, relation in sorted(database._relations.items())
         if relation.n_rows
     ]
-    acdom_ids = (
-        sorted(database._acdom_id_set()) if database._acdom is not None else None
-    )
+    acdom_ids = sorted(database._acdom_id_set())
     header = {
         "byteorder": sys.byteorder,
         "symbols": len(symtab),
@@ -632,7 +630,7 @@ def _parse_snapshot(
     # Imported here: ``repro.core.database`` builds on this module.
     from .database import Database
 
-    database = Database(freeze_acdom=False)
+    database = Database()
     database._symtab = symtab
     database._n_atoms = header["atoms"]
     database._buffers.append(mapped)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .atoms import RelationKey
-from .rules import Rule, canonical_rule_key
+from .rules import Rule
 from .terms import Constant
 
 __all__ = ["Theory", "ACDOM", "Query"]
@@ -127,9 +127,6 @@ class Theory:
     def datalog_rules(self) -> tuple[Rule, ...]:
         return tuple(rule for rule in self.rules if rule.is_datalog())
 
-    def existential_rules(self) -> tuple[Rule, ...]:
-        return tuple(rule for rule in self.rules if not rule.is_datalog())
-
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
@@ -141,19 +138,6 @@ class Theory:
 
     def map_rules(self, transform: Callable[[Rule], Rule]) -> "Theory":
         return Theory(transform(rule) for rule in self.rules)
-
-    def fresh_relation_name(self, stem: str) -> str:
-        """A relation name not yet used by the theory."""
-        existing = self.relations()
-        if stem not in existing:
-            return stem
-        index = 0
-        while f"{stem}_{index}" in existing:
-            index += 1
-        return f"{stem}_{index}"
-
-    def canonical_keys(self) -> set[tuple]:
-        return {canonical_rule_key(rule) for rule in self.rules}
 
 
 @dataclass(frozen=True)
@@ -172,13 +156,6 @@ class Query:
             raise ValueError(
                 f"output relation {self.output} does not occur in the theory"
             )
-
-    @property
-    def output_arity(self) -> int:
-        return self.theory.arity_of(self.output)
-
-    def with_theory(self, theory: Theory) -> "Query":
-        return Query(theory, self.output)
 
     def __str__(self) -> str:
         return f"({len(self.theory)} rules, output={self.output})"

@@ -55,20 +55,10 @@ class ProperForm:
         return Atom(atom.relation, tuple(restored), atom.annotation)
 
     def apply_to_database(self, database: Database) -> Database:
-        result = Database(
-            (self.apply_to_atom(atom) for atom in database), freeze_acdom=False
-        )
-        if database.acdom_frozen:
-            result.freeze_acdom()
-        return result
+        return Database(self.apply_to_atom(atom) for atom in database)
 
     def undo_on_database(self, database: Database) -> Database:
-        result = Database(
-            (self.undo_on_atom(atom) for atom in database), freeze_acdom=False
-        )
-        if database.acdom_frozen:
-            result.freeze_acdom()
-        return result
+        return Database(self.undo_on_atom(atom) for atom in database)
 
 
 def _permute_rule(rule: Rule, permutations: Mapping[str, tuple[int, ...]]) -> Rule:

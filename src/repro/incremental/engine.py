@@ -347,7 +347,6 @@ class _Live:
         self.fallback_reason = fallback_reason
         self.mode = self.maintained_mode if fallback_reason is None else "recompute"
         self.edb = database.copy()
-        self.edb.unfreeze_acdom()
         # ``model`` lets a caller adopt an existing complete model (a
         # held or snapshot-loaded one) instead of recomputing it; it
         # must equal a from-scratch materialization of ``database``, and

@@ -29,7 +29,7 @@ def canonical_database(cq: ConjunctiveQuery) -> tuple[Database, dict[Variable, T
     ):
         frozen[variable] = Null(f"frz{index}")
     atoms = [atom.substitute(dict(frozen)) for atom in cq.atoms]
-    return Database(atoms, freeze_acdom=False), frozen
+    return Database(atoms), frozen
 
 
 def cq_contained_in(first: ConjunctiveQuery, second: ConjunctiveQuery) -> bool:

@@ -46,9 +46,6 @@ class ConjunctiveQuery:
     def arity(self) -> int:
         return len(self.answer_variables)
 
-    def is_boolean(self) -> bool:
-        return not self.answer_variables
-
     def __str__(self) -> str:
         head = ", ".join(v.name for v in self.answer_variables)
         body = ", ".join(str(atom) for atom in self.atoms)

@@ -122,12 +122,7 @@ def annotate_database(
     if ap is None:
         ap = coherent_affected_positions(theory)
     cuts = _cuts_from_ap(theory, ap)
-    result = Database(
-        (_annotate_atom(atom, cuts) for atom in database), freeze_acdom=False
-    )
-    if database.acdom_frozen:
-        result.freeze_acdom()
-    return result
+    return Database(_annotate_atom(atom, cuts) for atom in database)
 
 
 def _deannotate_atom(atom: Atom) -> Atom:
@@ -139,15 +134,6 @@ def deannotate_theory(theory: Theory) -> Theory:
     return Theory(
         _convert_rule(rule, _deannotate_atom) for rule in theory
     )
-
-
-def deannotate_database(database: Database) -> Database:
-    result = Database(
-        (_deannotate_atom(atom) for atom in database), freeze_acdom=False
-    )
-    if database.acdom_frozen:
-        result.freeze_acdom()
-    return result
 
 
 @dataclass
@@ -164,9 +150,6 @@ class WfgRewriting:
 
     def prepare_database(self, database: Database) -> Database:
         return self.proper_form.apply_to_database(database)
-
-    def restore_answer_atom(self, atom: Atom) -> Atom:
-        return self.proper_form.undo_on_atom(atom)
 
     def restore_answer(
         self, relation: str, answer: tuple[Constant, ...]

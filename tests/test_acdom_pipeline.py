@@ -3,12 +3,17 @@ Section 7 pipeline."""
 
 import pytest
 
-from repro.core import Atom, Constant, Query, parse_database, parse_theory
+from repro.core import Atom, Constant, Database, Query, parse_database, parse_theory
 from repro.chase import ChaseBudget, answers_in, certain_answers, chase
 from repro.datalog import datalog_answers, evaluate
 from repro.guardedness import is_guarded_rule, is_nearly_guarded
 from repro.guardedness.affected import affected_positions, unsafe_variables
-from repro.queries import ConjunctiveQuery, compare_strategies, knowledge_base_query
+from repro.queries import (
+    ConjunctiveQuery,
+    answer_cq,
+    compare_strategies,
+    knowledge_base_query,
+)
 from repro.core.terms import Variable
 from repro.translate import (
     answer_query,
@@ -216,6 +221,27 @@ class TestConjunctiveQueries:
         )
         assert comparison.agree
         assert {t[0].name for t in comparison.via_chase} == {"a", "b"}
+
+    @pytest.mark.parametrize("strategy", ["auto", "chase", "translate"])
+    def test_database_built_by_add_answers_like_parsed(self, strategy):
+        # Section 7 pads the CQ with ACDom, so the answers depend on the
+        # input's active domain; a database grown by add() has the same.
+        theory = parse_theory(
+            """
+            E(x,y) -> T(x,y)
+            E(x,y), T(y,z) -> T(x,z)
+            T(x,y) -> exists w. M(y, w)
+            M(y,w), T(x,y) -> Reach(x)
+            """
+        )
+        cq = ConjunctiveQuery((X,), (Atom("T", (X, Y)), Atom("Reach", (Y,))))
+        parsed = parse_database("E(a,b). E(b,c). E(c,d).")
+        built = Database()
+        for atom in parsed:
+            built.add(atom)
+        expected = answer_cq(theory, cq, parsed, strategy=strategy)
+        assert {t[0].name for t in expected} == {"a", "b"}
+        assert answer_cq(theory, cq, built, strategy=strategy) == expected
 
     def test_unsafe_cq_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ published JSON schema.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.analysis import (
     ADVICE_JSON_SCHEMA,
     ADVICE_SCHEMA_VERSION,
     advise,
+    analyze,
 )
 from repro.analysis.advisor import (
     ENGINE_BUDGETED,
@@ -22,7 +24,7 @@ from repro.analysis.advisor import (
     ENGINE_NOT_APPLICABLE,
     ENGINE_TERMINATES,
 )
-from repro.chase import DEFAULT_MFA_MAX_STEPS, chase_terminates
+from repro.chase import DEFAULT_MFA_MAX_STEPS, chase_terminates, termination
 from repro.cli import main
 from repro.core import parse_theory
 from repro.obs import instrumented
@@ -121,6 +123,46 @@ class TestSurfacesAgree:
         verdict = "yes" if terminates else "unknown"
         first = capsys.readouterr().out.splitlines()[0]
         assert first == f"terminates: {verdict} ({criterion})"
+
+
+class TestOnePositionGraph:
+    """``advise`` and ``analyze`` estimate the chase cost from the
+    ladder's position graph instead of building a second one."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = termination.position_dependency_graph
+
+        def counted(theory):
+            calls.append(theory)
+            return original(theory)
+
+        # Wrap every binding of the function, not just its home module.
+        for module_name, module in list(sys.modules.items()):
+            if (
+                module_name.startswith("repro")
+                and getattr(module, "position_dependency_graph", None) is original
+            ):
+                monkeypatch.setattr(module, "position_dependency_graph", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "text",
+        [text for text, _, _ in LADDER[1:]] + [LOOP],
+        ids=[criterion for _, criterion, _ in LADDER[1:]] + ["unknown"],
+    )
+    def test_existential_theory_graphed_once(self, text, builds):
+        theory = parse_theory(text)
+        advise(theory)
+        assert len(builds) == 1
+        analyze(theory)
+        assert len(builds) == 2
+
+    def test_datalog_theory_graphed_for_its_estimate(self, builds):
+        # The ladder stops at its first rung, so only the estimate graphs.
+        advice = advise(parse_theory(DATALOG))
+        assert advice.cost is not None and len(builds) == 1
 
 
 class TestEngines:

@@ -13,7 +13,8 @@ from repro.chase import (
     chase,
     entails,
 )
-from repro.chase.runner import resume_chase
+from repro.chase.runner import extend_chase, resume_chase
+from repro.robustness.errors import InvalidRequestError
 
 PUBLICATION_THEORY = """
 Publication(x) -> exists k1, k2. Keywords(x, k1, k2)
@@ -287,3 +288,14 @@ class TestACDomInChase:
         theory = parse_theory('-> P("c")\nP(x), ACDom(x) -> Q(x)')
         result = chase(theory, parse_database("R(a)."))
         assert answers_in(result.database, "Q") == set()
+
+    def test_extend_chase_refuses_acdom(self):
+        # P(b) enlarges the active domain, so Q(a, b) needs a trigger
+        # that no inserted atom pins; only a fresh chase finds it.
+        theory = parse_theory("P(x), ACDom(y) -> Q(x, y)")
+        a, b = Constant("a"), Constant("b")
+        result = chase(theory, parse_database("P(a)."))
+        with pytest.raises(InvalidRequestError, match="ACDom"):
+            extend_chase(theory, result.database, [Atom("P", (b,))])
+        fresh = chase(theory, parse_database("P(a). P(b)."))
+        assert {(a, b), (b, b)} <= answers_in(fresh.database, "Q")

@@ -66,24 +66,29 @@ class TestACDom:
         assert db.active_constants() == frozenset({A})
 
     def test_frozen_extension_stable(self):
+        # A database tracks its constants until an engine run (or
+        # freeze_acdom) fixes them; from then on additions stay out.
         db = Database([Atom("R", (A,))])
         db.add(Atom("R", (B,)))
-        assert db.active_constants() == frozenset({A})  # frozen at init
+        assert db.active_constants() == frozenset({A, B})
+        db.freeze_acdom()
+        db.add(Atom("R", (C,)))
+        assert db.active_constants() == frozenset({A, B})
 
     def test_unfrozen_tracks_additions(self):
-        db = Database([Atom("R", (A,))], freeze_acdom=False)
+        db = Database([Atom("R", (A,))])
         db.add(Atom("R", (B,)))
         assert db.active_constants() == frozenset({A, B})
 
     def test_ensure_frozen_idempotent(self):
-        db = Database([Atom("R", (A,))], freeze_acdom=False)
+        db = Database([Atom("R", (A,))])
         db.ensure_acdom_frozen()
         db.add(Atom("R", (B,)))
         db.ensure_acdom_frozen()
         assert db.active_constants() == frozenset({A})
 
     def test_acdom_relation_itself_excluded(self):
-        db = Database([Atom("ACDom", (C,)), Atom("R", (A,))], freeze_acdom=False)
+        db = Database([Atom("ACDom", (C,)), Atom("R", (A,))])
         assert db.active_constants() == frozenset({A})
 
 
@@ -96,6 +101,7 @@ class TestCopiesAndViews:
 
     def test_copy_preserves_frozen_acdom(self):
         db = Database([Atom("R", (A,))])
+        db.freeze_acdom()
         clone = db.copy()
         clone.add(Atom("R", (B,)))
         assert clone.active_constants() == frozenset({A})
@@ -147,13 +153,13 @@ class TestAcdomSortedCache:
         assert db.active_constants() == frozenset({A, B})
 
     def test_cache_invalidated_while_unfrozen(self):
-        db = Database([Atom("R", (A,))], freeze_acdom=False)
+        db = Database([Atom("R", (A,))])
         assert db.acdom_sorted() == (A,)
         db.add(Atom("R", (B,)))
         assert db.acdom_sorted() == (A, B)
 
     def test_freeze_resets_cache(self):
-        db = Database([Atom("R", (A,))], freeze_acdom=False)
+        db = Database([Atom("R", (A,))])
         _ = db.acdom_sorted()
         db.add(Atom("R", (B,)))
         db.freeze_acdom()

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core import Atom, Constant, Query, Theory, parse_database, parse_theory
+from repro.core import (
+    Atom,
+    Constant,
+    Database,
+    Query,
+    Theory,
+    parse_database,
+    parse_theory,
+)
 from repro.chase import answers_in, chase
 from repro.datalog import (
     DatalogError,
@@ -69,6 +77,16 @@ class TestEvaluation:
         program = parse_theory("ACDom(x) -> Dom(x)")
         fixpoint = evaluate(program, parse_database("R(a,b)."))
         assert answers_in(fixpoint, "Dom") == {(A,), (B,)}
+
+    def test_acdom_of_a_database_built_by_add(self):
+        # ACDom is the input's constants however the input was built:
+        # the run fixes it, not the empty Database() it started from.
+        program = parse_theory("ACDom(x) -> D(x)")
+        built = Database()
+        built.add(Atom("E", (A, B)))
+        fixpoint = evaluate(program, built)
+        assert fixpoint == evaluate(program, parse_database("E(a,b)."))
+        assert Atom("D", (A,)) in fixpoint and Atom("D", (B,)) in fixpoint
 
     def test_wide_join(self):
         program = parse_theory("E(x,y), E(y,z), E(z,w) -> Path3(x,w)")

@@ -394,7 +394,7 @@ class TestCoreConvergence:
         ]
         from repro.core.database import Database
 
-        padded = Database(atoms, freeze_acdom=False)
+        padded = Database(atoms)
         with pytest.raises(ConvergenceError):
             core_of(padded, max_iterations=1)
         # enough budget → converges to the 1-atom core
